@@ -5,7 +5,9 @@ dlclass (Deligne-Lusztig class with optional Schubert expansion),
 verify (consistency suites), cache (on-disk cache management).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 structurally valid but inadmissible parameters.
+3 structurally valid but inadmissible parameters, 4 the computation
+failed (an arithmetic error such as a singular Schubert transition
+block, or the interpreter ran out of recursion depth or memory).
 """
 
 from __future__ import annotations
@@ -233,6 +235,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ArithmeticError, RecursionError, MemoryError) as exc:
+        print(f"error: computation failed ({type(exc).__name__}) {exc}".rstrip(),
+              file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

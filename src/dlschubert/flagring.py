@@ -7,13 +7,20 @@ h_k(x_k, ..., x_n) = 0 (complete homogeneous of degree k); these
 relations generate the same ideal as the e_i and their leading terms
 x_k^k are pairwise coprime, so the rewriting is confluent and the
 result is independent of rewrite order.  The relations are homogeneous
-in x, hence normal forms preserve the x-degree and the beta-grading.
+in x, hence normal forms preserve the x-degree and the beta-grading,
+and every monomial of degree above n(n-1)/2 is zero.
 
-Schubert classes are indexed so that length(w) = codimension.  The
-class of w is the normal form of the beta-sign-flipped double beta
-polynomial of w with all y set to 0; expansion in this basis is an
-exact linear solve, block triangular by degree with unimodular
-diagonal blocks.
+Schubert classes are indexed so that length(w) = codimension and are
+computed inside the ring.  The class of the longest element is the
+point class x1^(n-1) x2^(n-2) ... x_(n-1); going down a right ascent
+applies the beta-sign-flipped divided difference phi_i to a staircase
+representative and reduces.  phi_i is linear over symmetric
+polynomials, so it maps the ideal into itself and the result is the
+normal form of the beta-sign-flipped double beta polynomial of w with
+all y set to 0.  Expansion in this basis is block triangular by
+degree; each diagonal block becomes unitriangular with pivots +-1
+after permuting its rows and columns, so coordinates follow by integer
+back-substitution.
 """
 
 from __future__ import annotations
@@ -21,10 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from . import perm, poly
+from . import betapoly, perm, poly
 from .poly import BetaPolynomial
 
 # ZZ[beta] scalar: {beta_exponent: coefficient}, zero values dropped
@@ -32,7 +38,7 @@ BetaScalar = dict[int, int]
 
 
 class SingularTransitionError(ArithmeticError):
-    """Schubert-class transition matrix failed to be unimodular."""
+    """A Schubert-class transition block is not unitriangular."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,44 +73,47 @@ _REDUCE_MEMO: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
 
 
 def _reduce_exps(n: int, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Normal form of the monomial x^exps as {staircase exps: coeff}."""
-    key = (n, exps)
-    got = _REDUCE_MEMO.get(key)
+    """Normal form of the monomial x^exps as {staircase exps: coeff}.
+
+    Every monomial met on the way is memoized; the rewriting tree is
+    walked with an explicit stack, not recursion.  Monomials of degree
+    above n(n-1)/2 are zero at once (no staircase monomial has that
+    degree).  The result is shared with the memo: do not mutate it.
+    """
+    memo = _REDUCE_MEMO
+    got = memo.get((n, exps))
     if got is not None:
         return got
-    out: dict[tuple[int, ...], int] = {}
-    pending: dict[tuple[int, ...], int] = {exps: 1}
-    while pending:
-        m, c = pending.popitem()
-        hit = _REDUCE_MEMO.get((n, m))
-        if hit is not None:
-            for sm, sc in hit.items():
-                nc = out.get(sm, 0) + c * sc
-                if nc:
-                    out[sm] = nc
-                else:
-                    out.pop(sm, None)
+    if sum(exps) > n * (n - 1) // 2:
+        got = memo[(n, exps)] = {}
+        return got
+    stack = [exps]
+    while stack:
+        m = stack.pop()
+        if (n, m) in memo:
             continue
         viol = next((k for k, e in enumerate(m) if e > k), None)
         if viol is None:
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+            memo[(n, m)] = {m: 1}
             continue
+        # x_v^v = -(h_v(x_v, .., x_n) - x_v^v)
         v = viol + 1
         base = list(m)
         base[viol] -= v
-        for hm in _h_exponents(n, v):
-            nm = tuple(b + h for b, h in zip(base, hm))
-            nc = pending.get(nm, 0) - c
-            if nc:
-                pending[nm] = nc
-            else:
-                pending.pop(nm, None)
-    _REDUCE_MEMO[key] = out
-    return out
+        children = [
+            tuple(b + h for b, h in zip(base, hm)) for hm in _h_exponents(n, v)
+        ]
+        todo = [c for c in children if (n, c) not in memo]
+        if todo:
+            stack.append(m)
+            stack.extend(todo)
+            continue
+        out: dict[tuple[int, ...], int] = {}
+        for child in children:
+            for sm, sc in memo[(n, child)].items():
+                out[sm] = out.get(sm, 0) - sc
+        memo[(n, m)] = {sm: c for sm, c in out.items() if c}
+    return memo[(n, exps)]
 
 
 TermKey = tuple[tuple[int, ...], int]  # (exponents of length n, beta exponent)
@@ -137,10 +146,7 @@ class FlagRingElement:
         if not 1 <= i <= n:
             raise ValueError(f"x{i} is not a generator for n={n}")
         exps = tuple(1 if k == i - 1 else 0 for k in range(n))
-        out: dict[TermKey, int] = {}
-        for sm, c in _reduce_exps(n, exps).items():
-            out[(sm, 0)] = c
-        return cls(n, out)
+        return cls(n, {(sm, 0): c for sm, c in _reduce_exps(n, exps).items()})
 
     @classmethod
     def beta(cls, n: int) -> "FlagRingElement":
@@ -164,11 +170,7 @@ class FlagRingElement:
         self._check(other)
         out = dict(self._terms)
         for m, c in other._terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return FlagRingElement(self.n, out)
 
     __radd__ = __add__
@@ -203,6 +205,7 @@ class FlagRingElement:
                 prod = tuple(p + q for p, q in zip(ea, eb))
                 be = ba + bb
                 cc = ca * cb
+                # drop cancelled terms at once: products cancel heavily here
                 for sm, sc in _reduce_exps(n, prod).items():
                     key = (sm, be)
                     nc = out.get(key, 0) + cc * sc
@@ -271,12 +274,7 @@ class FlagRingElement:
     def specialize_beta(self, value: int) -> "FlagRingElement":
         out: dict[TermKey, int] = {}
         for (m, be), c in self._terms.items():
-            key = (m, 0)
-            nc = out.get(key, 0) + c * value**be
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            out[(m, 0)] = out.get((m, 0), 0) + c * value**be
         return FlagRingElement(self.n, out)
 
     def to_polynomial(self) -> BetaPolynomial:
@@ -353,11 +351,7 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
         exps = xe + (0,) * (n - len(xe))
         for sm, sc in _reduce_exps(n, exps).items():
             key = (sm, be)
-            nc = out.get(key, 0) + c * sc
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c * sc
     return FlagRingElement(n, out)
 
 
@@ -366,72 +360,91 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
 
 @functools.lru_cache(maxsize=None)
 def schubert_class(w: perm.Permutation, n: int | None = None) -> FlagRingElement:
-    """Class of the codimension-length(w) Schubert variety Omega_w:
-    normal form of the beta-sign-flipped double beta polynomial with
-    y -> 0."""
-    from . import betapoly  # deferred: betapoly does not import this module
+    """Class of the codimension-length(w) Schubert variety Omega_w.
 
-    if n is None:
-        n = len(w)
-    h = betapoly.double_beta_polynomial(w, n)
-    return normal_form(h.flip_beta_sign().set_y_zero(), n)
+    Equal to the normal form of the beta-sign-flipped double beta
+    polynomial of w with y -> 0, but never builds that polynomial: it
+    starts from the point class at the longest element and walks down
+    the right ascent that betapoly.double_beta_polynomial takes.
+    """
+    w, n = betapoly._resolve(w, n)
+    if w == perm.longest_element(n):
+        return normal_form(BetaPolynomial.term(1, x=range(n - 1, -1, -1)), n)
+    i = perm.right_ascents(w)[0]
+    rep = schubert_class(perm.times_s(w, i), n).to_polynomial().flip_beta_sign()
+    return normal_form(betapoly.divided_difference(i, rep).flip_beta_sign(), n)
 
 
-def _invert_unimodular(mat: list[list[int]]) -> list[list[Fraction]]:
-    k = len(mat)
-    aug = [
-        [Fraction(mat[r][c]) for c in range(k)]
-        + [Fraction(1 if r == c else 0) for c in range(k)]
-        for r in range(k)
-    ]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise SingularTransitionError("transition matrix is singular")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    if det not in (1, -1):
-        raise SingularTransitionError(
-            f"transition matrix has determinant {det}, expected a unit"
-        )
-    return [row[k:] for row in aug]
+def _pivot_steps(mat: list[list[int]]) -> list[tuple]:
+    """An order that solves the square integer system mat.x = b.
+
+    Step (r, c, pivot, rest) solves x_c from row r, whose entry in
+    column c is pivot = +-1 and whose other nonzero entries, rest =
+    ((j, a), ..), sit in columns solved by earlier steps.  Such an order
+    exists exactly when permuting rows and columns makes mat triangular
+    with diagonal +-1; otherwise SingularTransitionError is raised.
+    """
+    rows = list(range(len(mat)))
+    solved: set[int] = set()
+    steps = []
+    while rows:
+        for r in rows:
+            live = [c for c, a in enumerate(mat[r]) if a and c not in solved]
+            if len(live) == 1:
+                break
+        else:
+            raise SingularTransitionError("transition block is not triangular")
+        c = live[0]
+        pivot = mat[r][c]
+        if pivot not in (1, -1):
+            raise SingularTransitionError(f"transition block has pivot {pivot}")
+        rest = tuple((j, a) for j, a in enumerate(mat[r]) if a and j != c)
+        steps.append((r, c, pivot, rest))
+        rows.remove(r)
+        solved.add(c)
+    return steps
+
+
+def _back_substitute(steps: list[tuple], rhs: list[BetaScalar]) -> list[BetaScalar]:
+    """The solution of mat.x = rhs over ZZ[beta], steps from _pivot_steps(mat)."""
+    x: list[BetaScalar] = [{} for _ in steps]
+    for r, c, pivot, rest in steps:
+        acc = dict(rhs[r])
+        for j, a in rest:
+            for be, v in x[j].items():
+                acc[be] = acc.get(be, 0) - a * v
+        x[c] = {be: pivot * v for be, v in acc.items() if v}
+    return x
 
 
 @functools.lru_cache(maxsize=None)
 def _transition_blocks(n: int):
     """Per codimension l: (perms of length l, staircase monomials of
-    degree l, inverse transition matrix).  Entry (mon, w) of the forward
-    matrix is the integer coefficient of x^mon in schubert_class(w);
+    degree l, pivot steps of the transition matrix).  Entry (mon, w) of
+    the matrix is the integer coefficient of x^mon in schubert_class(w);
     gradedness puts it at beta exponent 0."""
-    by_len: dict[int, list[perm.Permutation]] = {}
-    for w in perm.all_permutations(n):
-        by_len.setdefault(perm.length(w), []).append(w)
-    by_deg: dict[int, list[tuple[int, ...]]] = {}
-    for m in staircase_monomials(n):
-        by_deg.setdefault(sum(m), []).append(m)
+    perms = sorted(perm.all_permutations(n), key=lambda w: (perm.length(w), w))
     blocks = {}
-    for l, ws in sorted(by_len.items()):
-        ws = sorted(ws)
-        mons = sorted(by_deg.get(l, []))
+    for l, group in itertools.groupby(perms, perm.length):
+        ws = list(group)
+        mons = sorted(m for m in staircase_monomials(n) if sum(m) == l)
         if len(ws) != len(mons):
             raise SingularTransitionError(
                 f"degree {l}: {len(mons)} monomials vs {len(ws)} classes"
             )
-        mat = [
-            [schubert_class(w, n).coefficient(mon, 0) for w in ws]
-            for mon in mons
-        ]
-        blocks[l] = (ws, mons, _invert_unimodular(mat))
+        mat = [[schubert_class(w, n).coefficient(mon) for w in ws] for mon in mons]
+        blocks[l] = (ws, mons, _pivot_steps(mat))
     return blocks
+
+
+def clear_caches() -> None:
+    """Empty every memo of the engine: monomial reduction, Schubert
+    classes, transition blocks and the double beta-polynomial family."""
+    _REDUCE_MEMO.clear()
+    schubert_class.cache_clear()
+    _transition_blocks.cache_clear()
+    betapoly.clear_cache()
+    betapoly.top_beta_polynomial.cache_clear()
 
 
 @dataclass
@@ -512,32 +525,16 @@ def schubert_expand(a: FlagRingElement) -> SchubertExpansion:
     residual = a
     coeffs: dict[perm.Permutation, BetaScalar] = {}
     for l in sorted(blocks):
-        ws, mons, inv = blocks[l]
-        rhs: list[BetaScalar] = []
-        for mon in mons:
-            rhs.append(
-                {be: c for (m, be), c in residual._terms.items() if m == mon}
-            )
-        for row, w in enumerate(ws):
-            acc: dict[int, Fraction] = {}
-            for col, scalar in enumerate(rhs):
-                f = inv[row][col]
-                if f:
-                    for be, c in scalar.items():
-                        acc[be] = acc.get(be, Fraction(0)) + f * c
-            scalar_out: BetaScalar = {}
-            for be, v in acc.items():
-                if v:
-                    if v.denominator != 1:
-                        raise SingularTransitionError(
-                            f"non-integer coefficient {v} for {w}"
-                        )
-                    scalar_out[be] = int(v)
-            if scalar_out:
-                coeffs[w] = scalar_out
+        ws, mons, steps = blocks[l]
+        rhs = [
+            {be: c for (m, be), c in residual._terms.items() if m == mon}
+            for mon in mons
+        ]
+        for w, scalar in zip(ws, _back_substitute(steps, rhs)):
+            if scalar:
+                coeffs[w] = scalar
                 residual = residual - (
-                    FlagRingElement.from_scalar(n, scalar_out)
-                    * schubert_class(w, n)
+                    FlagRingElement.from_scalar(n, scalar) * schubert_class(w, n)
                 )
     if not residual.is_zero:
         raise SingularTransitionError("expansion left a nonzero residual")

@@ -4,6 +4,7 @@ import pytest
 
 from dlschubert import betapoly, cli
 from dlschubert.cache import ENV_CACHE_DIR, CacheWarning, PolynomialCache
+from dlschubert.flagring import SingularTransitionError
 from dlschubert.verify import CheckResult
 
 
@@ -187,6 +188,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL rigged: boom" in out
     assert "summary: 1 checks, 1 failures" in out
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        SingularTransitionError("transition block is not triangular"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError(),
+    ],
+)
+def test_computation_failure_exit_code(capsys, monkeypatch, exc):
+    def fake(element):
+        raise exc
+
+    monkeypatch.setattr(cli.dlclass, "schubert_expand", fake)
+    code, out, err = run_cli(capsys, "dlclass", "--w", "[1,2]", "--q", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: computation failed")
+    assert type(exc).__name__ in err
+    assert err.count("\n") == 1
 
 
 def test_verify_bad_q_list(capsys):

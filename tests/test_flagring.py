@@ -1,15 +1,19 @@
+import itertools
 import json
 import math
 import random
 
 import pytest
 
-from dlschubert import perm
+from dlschubert import betapoly, clear_caches, flagring, perm
 from dlschubert.flagring import (
     FlagRingElement,
     SchubertExpansion,
     SingularTransitionError,
-    _invert_unimodular,
+    _back_substitute,
+    _h_exponents,
+    _pivot_steps,
+    _reduce_exps,
     _transition_blocks,
     is_staircase,
     normal_form,
@@ -25,8 +29,6 @@ F = FlagRingElement
 
 
 def elementary_symmetric(k, n):
-    import itertools
-
     acc = B.zero()
     for combo in itertools.combinations(range(1, n + 1), k):
         term = B.one()
@@ -170,6 +172,91 @@ def test_schubert_class_frozen():
         assert schubert_class(perm.longest_element(n), n) == point
 
 
+def _free_route(w, n):
+    """Schubert class by reducing the free double beta polynomial."""
+    h = betapoly.double_beta_polynomial(w, n)
+    return normal_form(h.flip_beta_sign().set_y_zero(), n)
+
+
+def test_schubert_class_matches_free_route():
+    for n in range(2, 6):
+        for w in perm.all_permutations(n):
+            assert schubert_class(w, n) == _free_route(w, n), w
+    for w, n in (((2, 1), 4), ((1, 3, 2), 5), ((2, 3, 1), 4)):
+        assert schubert_class(w, n) == _free_route(w, n), (w, n)
+        assert schubert_class(w, n) == schubert_class(perm.embed(w, n), n)
+
+
+def _reduce_reference(n, exps, memo):
+    """Rewriting loop that memoizes only the monomials it is called on
+    (in memo); kept as an independent check of _reduce_exps."""
+    got = memo.get(exps)
+    if got is not None:
+        return got
+    out = {}
+    pending = {exps: 1}
+    while pending:
+        m, c = pending.popitem()
+        hit = memo.get(m)
+        if hit is not None:
+            for sm, sc in hit.items():
+                nc = out.get(sm, 0) + c * sc
+                if nc:
+                    out[sm] = nc
+                else:
+                    out.pop(sm, None)
+            continue
+        viol = next((k for k, e in enumerate(m) if e > k), None)
+        if viol is None:
+            nc = out.get(m, 0) + c
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+            continue
+        v = viol + 1
+        base = list(m)
+        base[viol] -= v
+        for hm in _h_exponents(n, v):
+            nm = tuple(b + h for b, h in zip(base, hm))
+            nc = pending.get(nm, 0) - c
+            if nc:
+                pending[nm] = nc
+            else:
+                pending.pop(nm, None)
+    memo[exps] = out
+    return out
+
+
+def test_reduce_matches_reference_rewriting():
+    clear_caches()  # start _reduce_exps from an empty memo
+    for n in range(1, 5):
+        top = n * (n - 1) // 2
+        memo = {}
+        # a rewrite step lowers the exponent tuple lexicographically, so in
+        # ascending order the reference finds every rewritten monomial memoized
+        for m in itertools.product(range(top + 3), repeat=n):
+            if sum(m) <= top + 2:
+                assert _reduce_exps(n, m) == _reduce_reference(n, m, memo), m
+    # above the top degree n(n-1)/2 every monomial vanishes at once
+    assert _reduce_exps(5, (7, 0, 0, 0, 0)) == {}
+    assert _reduce_exps(4, (8, 0, 0, 0)) == {}
+
+
+def test_clear_caches():
+    u, v = (2, 1, 3), (1, 3, 2)
+    product = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
+    family = betapoly.double_beta_polynomial((2, 3, 1), 3)
+    clear_caches()
+    assert not flagring._REDUCE_MEMO
+    assert not betapoly._FAMILY
+    for cached in (schubert_class, _transition_blocks, betapoly.top_beta_polynomial):
+        assert cached.cache_info().currsize == 0
+    again = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
+    assert again.coefficients == product.coefficients
+    assert betapoly.double_beta_polynomial((2, 3, 1), 3) == family
+
+
 def test_schubert_classes_have_unit_leading_term():
     # beta-degree-0 part of a class is the single Schubert polynomial
     from dlschubert.betapoly import pipe_dream_oracle
@@ -188,15 +275,30 @@ def test_transition_block_sizes():
         assert len(ws) == len(mons) == len(inv)
 
 
-def test_invert_unimodular():
-    inv = _invert_unimodular([[1, 1], [0, 1]])
-    assert inv == [[1, -1], [0, 1]]
+def test_back_substitute():
+    steps = _pivot_steps([[1, 1], [0, 1]])
+    # unit right-hand sides give the columns of the inverse [[1, -1], [0, 1]]
+    assert _back_substitute(steps, [{0: 1}, {}]) == [{0: 1}, {}]
+    assert _back_substitute(steps, [{}, {0: 1}]) == [{0: -1}, {0: 1}]
+    assert _back_substitute(steps, [{0: 2, 1: 3}, {1: 1}]) == [{0: 2, 1: 2}, {1: 1}]
+    # rows and columns out of triangular order, pivot -1
+    steps = _pivot_steps([[0, 1], [-1, 1]])
+    assert _back_substitute(steps, [{0: 1}, {}]) == [{0: 1}, {0: 1}]
     with pytest.raises(SingularTransitionError):
-        _invert_unimodular([[2]])
+        _pivot_steps([[2]])
     with pytest.raises(SingularTransitionError):
-        _invert_unimodular([[0]])
+        _pivot_steps([[0]])
     with pytest.raises(SingularTransitionError):
-        _invert_unimodular([[1, 1], [1, 1]])
+        _pivot_steps([[1, 1], [1, 1]])
+
+
+def test_s6_basis_smoke():
+    blocks = _transition_blocks(6)
+    assert sum(len(ws) for ws, _, _ in blocks.values()) == math.factorial(6)
+    assert max(len(ws) for ws, _, _ in blocks.values()) == 101
+    rng = random.Random(66)
+    for w in rng.sample(sorted(perm.all_permutations(6)), 12):
+        assert schubert_expand(schubert_class(w, 6)).coefficients == {w: {0: 1}}, w
 
 
 def test_expand_schubert_classes_are_unit_vectors():
