@@ -9,10 +9,16 @@ double beta-polynomial of w.w0 and substituting
     y_j -> formal inverse of x_{n+1-j}  (class of a dual line bundle)
 
 inside the quotient ring, where the formal operations use the group law
-a + b - beta*a*b.  Substitution happens only after the polynomial is
-fully built: the formal inverse exists only in the quotient ring, so
-the x-arguments must never be reduced while the polynomial is still
-being assembled.
+a + b - beta*a*b.  Both images of pair i (x_i and y_{n+1-i}) are power
+series in x_i alone, and x_i^n = 0 in the quotient ring, so a factor
+x_i^a y_{n+1-i}^b maps to the truncated univariate table
+([q]t)^a * inverse(t)^b mod t^n at t = x_i (fgl.pair_table).  Each term
+of the fully built polynomial expands into products of its n tables,
+dropping products whose x-degree exceeds n(n-1)/2; the products are
+summed as free monomials, and each distinct monomial is reduced to its
+normal form once.  The polynomial itself is built in the free ring
+first: the formal inverse exists only in the quotient ring, so the
+x-arguments must never be reduced while it is being assembled.
 
 Specializations: beta = 0 recovers the Chow-group class, beta = 1 the
 K-theory class of the structure sheaf (reading c1(L) = 1 - [dual L]).
@@ -25,9 +31,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import prod
+from math import isqrt, prod
 
-from . import betapoly, fgl, perm
+from . import betapoly, fgl, perm, poly
 from .flagring import (
     FlagRingElement,
     SchubertExpansion,
@@ -54,7 +60,8 @@ class NonPrimePowerWarning(UserWarning):
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    # the least divisor above 1 is prime; with none up to isqrt(q), q is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     while q % p == 0:
         q //= p
     return q == 1
@@ -99,15 +106,33 @@ class DLResult:
 
 def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
     v = perm.compose(w, perm.longest_element(n))
-    p = betapoly.double_beta_polynomial(v, n).flip_beta_sign()
-    xmap = {
-        i: fgl.n_times(q, FlagRingElement.x_gen(n, i)) for i in range(1, n + 1)
-    }
-    ymap = {
-        j: fgl.fgl_inverse(FlagRingElement.x_gen(n, n + 1 - j))
-        for j in range(1, n + 1)
-    }
-    return p.substitute(xmap, ymap)
+    top = n * (n - 1) // 2
+    free: dict[tuple[tuple[int, ...], int], int] = {}
+    for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
+        c = -c if be % 2 else c  # flip_beta_sign, without a flipped copy
+        xe = xe + (0,) * (n - len(xe))
+        ye = ye + (0,) * (n - len(ye))
+        # pair i carries x_i and y_{n+1-i}; both map into x_i alone
+        pairs = [(xe[i], ye[n - 1 - i]) for i in range(n)]
+        rest = [0] * (n + 1)  # least x-degree the pairs after i can add
+        for i in reversed(range(n)):
+            rest[i] = rest[i + 1] + sum(pairs[i])
+        if rest[0] > top:
+            continue
+        partial = [((), 0, be, c)]
+        for i, (a, b) in enumerate(pairs):
+            cap = top - rest[i + 1]
+            partial = [
+                (exps + (d,), deg + d, beta + tb, coeff * tc)
+                for exps, deg, beta, coeff in partial
+                for d, tb, tc in fgl.pair_table(n, q, a, b)
+                if deg + d <= cap
+            ]
+        for exps, _, beta, coeff in partial:
+            key = (exps, beta)
+            free[key] = free.get(key, 0) + coeff
+    free_poly = {(poly._strip(e), (), be): c for (e, be), c in free.items()}
+    return normal_form(poly.BetaPolynomial(free_poly), n)
 
 
 def dl_class(query: DLQuery, strict: bool = False) -> DLResult:

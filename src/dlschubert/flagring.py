@@ -439,8 +439,12 @@ def _transition_blocks(n: int):
 
 def clear_caches() -> None:
     """Empty every memo of the engine: monomial reduction, Schubert
-    classes, transition blocks and the double beta-polynomial family."""
+    classes, transition blocks, the double beta-polynomial family and
+    the substitution tables of the formal group law."""
+    from . import fgl  # imported here: fgl itself imports this module
+
     _REDUCE_MEMO.clear()
+    fgl.pair_table.cache_clear()
     schubert_class.cache_clear()
     _transition_blocks.cache_clear()
     betapoly.clear_cache()

@@ -4,11 +4,12 @@ import warnings
 
 import pytest
 
-from dlschubert import perm
+from dlschubert import betapoly, fgl, perm
 from dlschubert.dlclass import (
     CONVENTIONS,
     DLQuery,
     NonPrimePowerWarning,
+    _ck_element,
     chow_class_direct,
     dl_class,
     dl_class_ch,
@@ -30,8 +31,8 @@ F = FlagRingElement
 
 
 def test_is_prime_power():
-    yes = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 81, 128]
-    no = [0, 1, 6, 10, 12, 14, 15, 18, 20, 100]
+    yes = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 81, 128, 10**9 + 7, 999983**2]
+    no = [0, 1, 6, 10, 12, 14, 15, 18, 20, 100, 999983 * 999979, 10**9]
     assert all(is_prime_power(q) for q in yes)
     assert not any(is_prime_power(q) for q in no)
 
@@ -163,6 +164,41 @@ def test_identity_point_count_matches_oracle():
         for q in (2, 3, 5):
             ch = dl_class_ch(perm.identity(n), n, q)
             assert point_coefficient(ch.element) == {0: flag_count_oracle(n, q)}
+
+
+def test_identity_point_count_at_large_prime():
+    q = 10**9 + 7
+    ch = dl_class_ch(perm.identity(3), 3, q)
+    assert point_coefficient(ch.element) == {0: flag_count_oracle(3, q)}
+
+
+def _ck_element_by_substitution(w, n, q):
+    """Reference route: generic substitution of the q-fold sum and the
+    formal inverse, built in the quotient ring, into the whole
+    beta-sign-flipped double beta-polynomial of w.w0."""
+    v = perm.compose(w, perm.longest_element(n))
+    p = betapoly.double_beta_polynomial(v, n).flip_beta_sign()
+    xmap = {i: fgl.n_times(q, F.x_gen(n, i)) for i in range(1, n + 1)}
+    ymap = {j: fgl.fgl_inverse(F.x_gen(n, n + 1 - j)) for j in range(1, n + 1)}
+    return p.substitute(xmap, ymap)
+
+
+def test_ck_element_matches_substitution():
+    for n in (2, 3, 4):
+        for q in (2, 3, 4, 5, 7, 16, 1031):
+            for w in perm.all_permutations(n):
+                expected = _ck_element_by_substitution(w, n, q)
+                assert _ck_element(w, n, q) == expected, (w, q)
+
+
+def test_ck_element_matches_substitution_s5():
+    # q = 2 < n - 1 cuts the q-fold sum below t^(n-1)
+    cases = [(perm.identity(5), 2), (perm.identity(5), 9)]
+    rng = random.Random(3)
+    for w in rng.sample(sorted(perm.all_permutations(5)), 2):
+        cases.append((w, rng.choice((3, 4, 5, 7))))
+    for w, q in cases:
+        assert _ck_element(w, 5, q) == _ck_element_by_substitution(w, 5, q), (w, q)
 
 
 def test_metadata():

@@ -1,8 +1,16 @@
 import random
+from math import comb
 
 import pytest
 
-from dlschubert.fgl import fgl_add, fgl_inverse, n_times
+from dlschubert.fgl import (
+    fgl_add,
+    fgl_inverse,
+    inverse_series,
+    n_times,
+    n_times_series,
+    pair_table,
+)
 from dlschubert.flagring import FlagRingElement, staircase_monomials
 from dlschubert.poly import BetaPolynomial
 
@@ -139,3 +147,57 @@ def test_inverse_is_involution():
     for i in range(1, n + 1):
         a = F.x_gen(n, i)
         assert fgl_inverse(fgl_inverse(a)) == a
+
+
+def test_n_times_stops_at_nilpotency():
+    # x_i^4 = 0 at n = 3, so the closed form stops after three terms
+    # however large the multiple is
+    m = 10**9 + 7
+    n = 3
+    beta = F.beta(n)
+    for i in range(1, n + 1):
+        a = F.x_gen(n, i)
+        closed = sum(
+            (comb(m, k) * (a**k * (-beta) ** (k - 1)) for k in range(1, 4)), F.zero(n)
+        )
+        assert n_times(m, a) == closed
+
+
+def _series_poly(series):
+    return sum((B.term(c, x=(d,), beta=be) for d, be, c in series), B.zero())
+
+
+def _truncate(p, n):
+    return B({m: c for m, c in p.terms().items() if sum(m[0]) < n})
+
+
+def test_n_times_series_is_truncated_n_times():
+    t = B.x(1)
+    for n in range(1, 7):
+        for m in range(0, 13):
+            assert _series_poly(n_times_series(m, n)) == _truncate(n_times(m, t), n)
+    with pytest.raises(ValueError):
+        n_times_series(-1, 3)
+
+
+def test_inverse_series_inverts_mod_t_n():
+    t = B.x(1)
+    for n in range(1, 7):
+        inv = _series_poly(inverse_series(n))
+        assert _truncate(fgl_add(t, inv), n).is_zero
+        # the series fgl_inverse sums for a generator of the quotient ring
+        a = F.x_gen(n, n)
+        assert inv.substitute({1: a}, {}) == fgl_inverse(a)
+
+
+def test_pair_table_is_product_of_series():
+    t = B.x(1)
+    for n in range(2, 6):
+        for m in (2, 3, 7):
+            qt = _series_poly(n_times_series(m, n))
+            inv = _series_poly(inverse_series(n))
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    table = pair_table(n, m, a, b)
+                    assert _series_poly(table) == _truncate(qt**a * inv**b, n)
+                    assert all(d >= a + b for d, _, _ in table)

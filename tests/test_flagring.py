@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dlschubert import betapoly, clear_caches, flagring, perm
+from dlschubert import betapoly, clear_caches, fgl, flagring, perm
 from dlschubert.flagring import (
     FlagRingElement,
     SchubertExpansion,
@@ -247,11 +247,18 @@ def test_clear_caches():
     u, v = (2, 1, 3), (1, 3, 2)
     product = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     family = betapoly.double_beta_polynomial((2, 3, 1), 3)
+    table = fgl.pair_table(3, 5, 1, 1)
     clear_caches()
     assert not flagring._REDUCE_MEMO
     assert not betapoly._FAMILY
-    for cached in (schubert_class, _transition_blocks, betapoly.top_beta_polynomial):
+    for cached in (
+        schubert_class,
+        _transition_blocks,
+        betapoly.top_beta_polynomial,
+        fgl.pair_table,
+    ):
         assert cached.cache_info().currsize == 0
+    assert fgl.pair_table(3, 5, 1, 1) == table
     again = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     assert again.coefficients == product.coefficients
     assert betapoly.double_beta_polynomial((2, 3, 1), 3) == family
