@@ -13,6 +13,20 @@ polynomial of w whenever length(w.s_i) < length(w).  The operators
 satisfy the braid relations, so the result does not depend on the
 chosen reduced path down from the longest element.
 
+The engine never forms that numerator.  Since s_i(x_{i+1} f) = x_i s_i f,
+
+    phi_i f = d_i f + beta * d_i(x_{i+1} f),   d_i f = (f - s_i f) / (x_i - x_{i+1}),
+
+and the ordinary divided difference d_i has a closed form on each
+monomial: with lo = min(a, b), hi = max(a, b),
+
+    d_i(x_i^a x_{i+1}^b) = sign * sum_{k=0}^{hi-lo-1} x_i^(lo+k) x_{i+1}^(hi-1-k),
+
+where sign is +1 if a > b and -1 if a < b (and d_i is 0 if a = b).  So
+phi_i runs term by term, each term emitting its output monomials into
+one dict; likewise the top product is built by folding in one factor at
+a time, three monomials per term.
+
 Specializations (classical families):
   * beta = 0 and y -> -y gives the double Schubert polynomial of w;
   * beta = -1 gives the double Grothendieck polynomial of w.
@@ -33,37 +47,91 @@ import itertools
 
 from . import perm
 from .perm import Permutation
-from .poly import BetaPolynomial
+from .poly import BetaPolynomial, Monomial, _strip
+
+
+def _bump(exp: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """exp with its i-th (1-based) entry raised by one; stays stripped."""
+    if len(exp) >= i:
+        return exp[:i - 1] + (exp[i - 1] + 1,) + exp[i:]
+    return exp + (0,) * (i - 1 - len(exp)) + (1,)
 
 
 @functools.lru_cache(maxsize=None)
 def top_beta_polynomial(n: int) -> BetaPolynomial:
     """Polynomial of the longest element of S_n:
-    prod over i + j <= n of (x_i + y_j + beta x_i y_j)."""
+    prod over i + j <= n of (x_i + y_j + beta x_i y_j).
+
+    Each factor is folded into the running term dict: a term gives
+    exactly three monomials.  Every coefficient is positive, so nothing
+    cancels.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = BetaPolynomial.beta()
-    out = BetaPolynomial.one()
+    terms: dict[Monomial, int] = {((), (), 0): 1}
     for i in range(1, n):
-        xi = BetaPolynomial.x(i)
         for j in range(1, n - i + 1):
-            yj = BetaPolynomial.y(j)
-            out = out * (xi + yj + b * xi * yj)
+            out: dict[Monomial, int] = {}
+            get = out.get
+            xbumped: dict[tuple[int, ...], tuple[int, ...]] = {}
+            ybumped: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for (xe, ye, be), c in terms.items():
+                xs = xbumped.get(xe) or xbumped.setdefault(xe, _bump(xe, i))
+                ys = ybumped.get(ye) or ybumped.setdefault(ye, _bump(ye, j))
+                for m in ((xs, ye, be), (xe, ys, be), (xs, ys, be + 1)):
+                    out[m] = get(m, 0) + c
+            terms = out
+    return BetaPolynomial(terms)
+
+
+def _phi_images(xe: tuple[int, ...], i: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """phi_i of the monomial x^xe as (x exponents, added beta exponent,
+    sign) triples: d_i x^xe, then beta d_i(x_{i+1} x^xe), by the closed
+    form of d_i in the module docstring."""
+    if len(xe) > i:
+        a, b = xe[i - 1], xe[i]
+        head, tail = xe[:i - 1], xe[i + 1:]
+    else:
+        a, b = (xe[i - 1] if len(xe) == i else 0), 0
+        head, tail = xe[:i - 1] + (0,) * (i - 1 - len(xe)), ()
+    out = []
+    for u, v, k in ((a, b, 0), (a, b + 1, 1)):
+        lo, hi, s = (v, u, 1) if u > v else (u, v, -1)
+        for e in range(lo, hi):
+            f = lo + hi - 1 - e
+            if tail:
+                x = head + (e, f) + tail
+            elif f:
+                x = head + (e, f)
+            elif e:
+                x = head + (e,)
+            else:
+                x = _strip(head)
+            out.append((x, k, s))
     return out
 
 
 def divided_difference(i: int, p: BetaPolynomial) -> BetaPolynomial:
-    """phi_i p; lowers graded degree by one.  The division is exact for
-    every polynomial (the numerator is antisymmetric-like in x_i,
-    x_{i+1} by construction); constants map to -beta times themselves.
+    """phi_i p = d_i p + beta d_i(x_{i+1} p); lowers graded degree by
+    one.  Constants map to -beta times themselves.
+
+    Termwise: phi_i is linear over y and beta, so each term emits the
+    images of its x-monomial (computed once per distinct monomial)
+    straight into one dict.
     """
     if i < 1:
         raise ValueError("variable indices are 1-based")
-    b = BetaPolynomial.beta()
-    xi = BetaPolynomial.x(i)
-    xi1 = BetaPolynomial.x(i + 1)
-    numerator = (1 + b * xi1) * p - (1 + b * xi) * p.swap_x(i)
-    return numerator.exact_divide_by_difference(i)
+    images: dict[tuple[int, ...], list] = {}
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for (xe, ye, be), c in p.terms().items():
+        emitted = images.get(xe)
+        if emitted is None:
+            emitted = images[xe] = _phi_images(xe, i)
+        for x, k, s in emitted:
+            m = (x, ye, be + k)
+            out[m] = get(m, 0) + s * c
+    return BetaPolynomial(out)
 
 
 # per-process family cache; values are immutable, concurrent duplicate
@@ -120,17 +188,19 @@ def double_grothendieck(w, n: int | None = None) -> BetaPolynomial:
 # -- pipe dream oracle ---------------------------------------------------
 
 
+def _staircase_cells(n: int) -> list[tuple[int, int]]:
+    """Cells (i, j) with i + j <= n in reading order: rows top to
+    bottom, each row right to left.  Cell (i, j) reads as s_{i+j-1}."""
+    return [(i, j) for i in range(1, n) for j in range(n - i, 0, -1)]
+
+
 def reduced_pipe_dreams(w) -> list[frozenset[tuple[int, int]]]:
     """All reduced pipe dreams (RC-graphs) of w: cross sets D inside the
     staircase {(i, j) : i + j <= n} such that reading s_{i+j-1} along
     rows top to bottom, right to left, gives a reduced word for w."""
     w = perm.check_permutation(w)
     n = len(w)
-    cells = [
-        (i, j)
-        for i in range(1, n)
-        for j in range(n - i, 0, -1)  # row-major, right to left
-    ]
+    cells = _staircase_cells(n)
     lw = perm.length(w)
     dreams = []
     for combo in itertools.combinations(range(len(cells)), lw):
@@ -158,4 +228,34 @@ def pipe_dream_oracle(w) -> BetaPolynomial:
         for i, e in exps.items():
             mono = mono * BetaPolynomial.x(i) ** e
         acc = acc + mono
+    return acc
+
+
+def k_pipe_dream_oracle(w) -> BetaPolynomial:
+    """Double beta-polynomial of w by the K-theoretic pipe-dream formula
+    (Knutson-Miller, "Groebner geometry of Schubert polynomials", 2005):
+    the sum, over all (not only reduced) subsets D of the staircase whose
+    reading word (the order of reduced_pipe_dreams) has Demazure product
+    w, of beta^(|D| - length(w)) * prod_{(i, j) in D} (x_i + y_j + beta x_i y_j).
+
+    Shares no code with the divided-difference kernel and sees both the
+    beta terms and the y alphabet; a test oracle for n <= 5 (it visits
+    all 2^(n(n-1)/2) subsets).
+    """
+    w = perm.check_permutation(w)
+    n = len(w)
+    cells = _staircase_cells(n)
+    lw = perm.length(w)
+    b = BetaPolynomial.beta()
+    acc = BetaPolynomial.zero()
+    for size in range(lw, len(cells) + 1):
+        for dream in itertools.combinations(cells, size):
+            word = [i + j - 1 for (i, j) in dream]
+            if perm.demazure_product(word, n) != w:
+                continue
+            term = b ** (size - lw)
+            for (i, j) in dream:
+                xi, yj = BetaPolynomial.x(i), BetaPolynomial.y(j)
+                term = term * (xi + yj + b * xi * yj)
+            acc = acc + term
     return acc

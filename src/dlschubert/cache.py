@@ -3,9 +3,11 @@
 One JSON file per entry, keyed by (family, w, n).  Entries carry a
 format version and a sha256 checksum of the canonical term payload;
 anything unreadable, version-skewed, or checksum-mismatched is
-discarded with a warning and recomputed.  Cache hits deserialize to the
-exact same term dictionary as a fresh computation, so rendered output
-is byte-identical either way.
+discarded with a warning and recomputed, and so is an entry whose
+polynomial is not homogeneous of graded degree length(w), which no
+family member can be.  Entries are written as compact JSON.  Cache
+hits deserialize to the exact same term dictionary as a fresh
+computation, so rendered output is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class PolynomialCache:
             )
             return None
         try:
-            return poly.from_json_terms(data["terms"])
+            value = poly.from_json_terms(data["terms"])
         except (KeyError, TypeError, ValueError) as exc:
             warnings.warn(
                 f"discarding malformed cache entry {path.name}: {exc}",
@@ -82,6 +84,15 @@ class PolynomialCache:
                 stacklevel=2,
             )
             return None
+        if value.graded_degree() != perm.length(w):
+            warnings.warn(
+                f"discarding cache entry {path.name}: its polynomial is not "
+                f"homogeneous of degree length(w) = {perm.length(w)}",
+                CacheWarning,
+                stacklevel=2,
+            )
+            return None
+        return value
 
     def put(self, family: str, w: perm.Permutation, n: int, value: BetaPolynomial) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -96,7 +107,7 @@ class PolynomialCache:
         }
         path = self._path(family, w, n)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(data, sort_keys=True, indent=1))
+        tmp.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
         tmp.replace(path)
 
     def clear(self) -> int:

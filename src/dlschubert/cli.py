@@ -48,14 +48,6 @@ def _parse_w(text: str) -> perm.Permutation:
         raise CLIError(3, str(exc)) from None
 
 
-def _resolve_n(w: perm.Permutation, n: int | None) -> tuple[perm.Permutation, int]:
-    if n is None:
-        n = len(w)
-    if n < len(w):
-        raise CLIError(3, f"n={n} is smaller than the permutation size {len(w)}")
-    return perm.embed(w, n), n
-
-
 def _cache_store(args) -> PolynomialCache | None:
     directory = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR)
     return PolynomialCache(directory) if directory else None
@@ -74,7 +66,7 @@ def _family_polynomial(w: perm.Permutation, n: int, store: PolynomialCache | Non
 
 
 def cmd_betapoly(args) -> int:
-    w, n = _resolve_n(_parse_w(args.w), args.n)
+    w, n = betapoly._resolve(_parse_w(args.w), args.n)
     p = _family_polynomial(w, n, _cache_store(args))
     if args.single:
         p = p.set_y_zero()
@@ -88,7 +80,7 @@ def cmd_betapoly(args) -> int:
 
 
 def cmd_dlclass(args) -> int:
-    w, n = _resolve_n(_parse_w(args.w), args.n)
+    w, n = betapoly._resolve(_parse_w(args.w), args.n)
     theory = args.theory.upper()
     store = _cache_store(args)
     if store is not None:

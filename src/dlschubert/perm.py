@@ -177,6 +177,23 @@ def word_to_permutation(word: Iterable[int], n: int) -> Permutation:
     return p
 
 
+def demazure_product(word: Iterable[int], n: int) -> Permutation:
+    """0-Hecke (Demazure) product of s_{a1} ... s_{al}, read left to
+    right: each letter multiplies on the right only if it lengthens.
+    Equals word_to_permutation on reduced words.
+
+    >>> demazure_product([1, 1], 2)
+    (2, 1)
+    >>> demazure_product([1, 2, 1, 2], 3)
+    (3, 2, 1)
+    """
+    p = identity(n)
+    for a in word:
+        if not has_right_descent(p, a):
+            p = times_s(p, a)
+    return p
+
+
 def rank_function(w: Permutation, j: int, i: int) -> int:
     """r_w(j, i) = #{l <= j : w(l) <= i}.
 

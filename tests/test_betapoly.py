@@ -1,4 +1,5 @@
 import concurrent.futures
+import random
 
 import hypothesis as h
 import hypothesis.strategies as st
@@ -11,6 +12,7 @@ from dlschubert.betapoly import (
     double_beta_polynomial,
     double_grothendieck,
     double_schubert,
+    k_pipe_dream_oracle,
     pipe_dream_oracle,
     prime_cache,
     reduced_pipe_dreams,
@@ -205,3 +207,70 @@ def test_concurrent_computation_is_consistent():
         results = {w: f.result() for w, f in futures.items()}
     for w in perms:
         assert results[w] == serial[w], w
+
+
+# -- termwise kernels against the generic route ----------------------
+
+
+def phi_reference(i, p):
+    """phi_i by the defining formula: the numerator
+    (1 + beta x_{i+1}) p - (1 + beta x_i) s_i p, divided exactly by
+    x_i - x_{i+1}."""
+    b = B.beta()
+    numerator = (1 + b * B.x(i + 1)) * p - (1 + b * B.x(i)) * p.swap_x(i)
+    return numerator.exact_divide_by_difference(i)
+
+
+def test_divided_difference_matches_reference_on_family_chains():
+    # every step double_beta_polynomial takes down from w0, S_2..S_5
+    for n in (2, 3, 4, 5):
+        for w in perm.all_permutations(n):
+            if w == perm.longest_element(n):
+                continue
+            i = perm.right_ascents(w)[0]
+            parent = double_beta_polynomial(perm.times_s(w, i), n)
+            step = divided_difference(i, parent)
+            assert step == phi_reference(i, parent), (w, i)
+            assert step == double_beta_polynomial(w, n), (w, i)
+
+
+@h.given(small_polys(), st.integers(1, 5))
+def test_divided_difference_matches_reference(p, i):
+    # small_polys lives in x1..x3, so i = 3, 4, 5 reach past the support
+    assert divided_difference(i, p) == phi_reference(i, p)
+
+
+@h.given(st.integers(-10**20, 10**20), st.integers(1, 5))
+def test_divided_difference_on_constants(c, i):
+    assert divided_difference(i, B.const(c)) == -c * B.beta()
+
+
+def test_top_polynomial_matches_generic_product():
+    for n in (1, 2, 3, 4, 5):
+        expected = B.one()
+        for i in range(1, n):
+            for j in range(1, n - i + 1):
+                expected = expected * (B.x(i) + B.y(j) + B.beta() * B.x(i) * B.y(j))
+        assert top_beta_polynomial(n) == expected, n
+
+
+# -- K-theoretic pipe dreams -----------------------------------------
+
+
+def test_k_pipe_dream_oracle_frozen():
+    assert k_pipe_dream_oracle((1, 2)) == B.one()
+    assert k_pipe_dream_oracle((2, 1)) == B.x(1) + B.y(1) + B.beta() * B.x(1) * B.y(1)
+    # s_2 in S_3: the reduced dreams {(1,2)}, {(2,1)} and the
+    # non-reduced {(1,2), (2,1)} with one power of beta
+    f12 = B.x(1) + B.y(2) + B.beta() * B.x(1) * B.y(2)
+    f21 = B.x(2) + B.y(1) + B.beta() * B.x(2) * B.y(1)
+    assert k_pipe_dream_oracle((1, 3, 2)) == f12 + f21 + B.beta() * f12 * f21
+
+
+def test_k_pipe_dream_oracle_matches_family():
+    for n in (2, 3, 4):
+        for w in perm.all_permutations(n):
+            assert k_pipe_dream_oracle(w) == double_beta_polynomial(w), w
+    sample = random.Random(4).sample(list(perm.all_permutations(5)), 6)
+    for w in sample + [perm.identity(5), perm.longest_element(5)]:
+        assert k_pipe_dream_oracle(w) == double_beta_polynomial(w), w

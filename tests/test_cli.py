@@ -283,6 +283,26 @@ def test_cache_version_skew_recovers(capsys, tmp_path):
     assert out == clean
 
 
+def test_cache_entry_of_another_permutation_recovers(capsys, tmp_path):
+    # checksum-valid, right w field, but the terms of [3,1,2] (degree 2)
+    # under the name of [2,1,3] (degree 1)
+    _, clean, _ = run_cli(capsys, "betapoly", "--w", "[2,1,3]")
+    run_cli(capsys, "betapoly", "--w", "[3,1,2]", "--cache-dir", str(tmp_path))
+    data = json.loads((tmp_path / "double-beta_n3_w3-1-2.json").read_text())
+    data["w"] = "[2,1,3]"
+    entry = tmp_path / "double-beta_n3_w2-1-3.json"
+    entry.write_text(json.dumps(data))
+    with pytest.warns(CacheWarning, match="not homogeneous"):
+        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1,3]",
+                               "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == clean
+    # the bad entry was replaced by the right one
+    assert PolynomialCache(tmp_path).get("double-beta", (2, 1, 3), 3) == (
+        betapoly.double_beta_polynomial((2, 1, 3))
+    )
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
     code, _, _ = run_cli(capsys, "betapoly", "--w", "[2,1,3]")

@@ -205,3 +205,13 @@ def test_embed():
     assert perm.embed((2, 1), 4) == (2, 1, 3, 4)
     with pytest.raises(ValueError):
         perm.embed((2, 1, 3), 2)
+
+
+def test_demazure_product_on_reduced_and_stuttered_words():
+    for w in perm.all_permutations(4):
+        for word in perm.all_reduced_words(w):
+            assert perm.demazure_product(word, 4) == w
+            # repeating any letter in place leaves the 0-Hecke product as is
+            for k in range(len(word)):
+                stutter = word[:k + 1] + word[k:]
+                assert perm.demazure_product(stutter, 4) == w, (w, stutter)
