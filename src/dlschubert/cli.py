@@ -29,25 +29,6 @@ class CLIError(Exception):
         self.code = code
 
 
-def _parse_w(text: str) -> perm.Permutation:
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    elif s.startswith("[") or s.endswith("]"):
-        raise CLIError(2, f"unbalanced brackets in permutation: {text!r}")
-    parts = [p.strip() for p in s.split(",")] if s.strip() else []
-    if not parts or any(not p for p in parts):
-        raise CLIError(2, f"cannot parse permutation: {text!r}")
-    try:
-        word = [int(p) for p in parts]
-    except ValueError:
-        raise CLIError(2, f"cannot parse permutation: {text!r}") from None
-    try:
-        return perm.check_permutation(word)
-    except ValueError as exc:
-        raise CLIError(3, str(exc)) from None
-
-
 def _cache_store(args) -> PolynomialCache | None:
     directory = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR)
     return PolynomialCache(directory) if directory else None
@@ -66,7 +47,7 @@ def _family_polynomial(w: perm.Permutation, n: int, store: PolynomialCache | Non
 
 
 def cmd_betapoly(args) -> int:
-    w, n = betapoly._resolve(_parse_w(args.w), args.n)
+    w, n = betapoly._resolve(perm.parse_permutation(args.w), args.n)
     p = _family_polynomial(w, n, _cache_store(args))
     if args.single:
         p = p.set_y_zero()
@@ -80,7 +61,7 @@ def cmd_betapoly(args) -> int:
 
 
 def cmd_dlclass(args) -> int:
-    w, n = betapoly._resolve(_parse_w(args.w), args.n)
+    w, n = betapoly._resolve(perm.parse_permutation(args.w), args.n)
     theory = args.theory.upper()
     store = _cache_store(args)
     if store is not None:
@@ -224,6 +205,9 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except perm.PermutationSyntaxError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,13 +12,24 @@ inside the quotient ring, where the formal operations use the group law
 a + b - beta*a*b.  Both images of pair i (x_i and y_{n+1-i}) are power
 series in x_i alone, and x_i^n = 0 in the quotient ring, so a factor
 x_i^a y_{n+1-i}^b maps to the truncated univariate table
-([q]t)^a * inverse(t)^b mod t^n at t = x_i (fgl.pair_table).  Each term
-of the fully built polynomial expands into products of its n tables,
-dropping products whose x-degree exceeds n(n-1)/2; the products are
-summed as free monomials, and each distinct monomial is reduced to its
-normal form once.  The polynomial itself is built in the free ring
-first: the formal inverse exists only in the quotient ring, so the
-x-arguments must never be reduced while it is being assembled.
+([q]t)^a * inverse(t)^b mod t^n at t = x_i (fgl.pair_table).
+
+The substitution is a ring map, hence linear on the family, and all
+members of S_n together use at most n!^2 distinct monomials.  So the
+image of a monomial, the product of the tables of its n pairs in normal
+form, is built once per (n, q, monomial) and memoized as a flat tuple of
+(staircase slot, coeff) pairs.  It is built from the memoized image of
+the same monomial without its last pair, times that pair's table; for
+the pair of x_n this needs no reduction at all (x_n^n = 0), so most
+images cost a few shifted copies of a shorter one.  A class is the
+sparse sum c * beta^e * image over the terms of the
+member of w.w0, read from a memoized "pair form" of that member; the
+sum of reduced images is
+already in normal form, so no class is reduced as a whole.  The images
+are the engine's largest memo; flagring.clear_caches() empties them.
+The family itself is built in the free ring first: the formal inverse
+exists only in the quotient ring, so the x-arguments must never be
+reduced while it is being assembled.
 
 Specializations: beta = 0 recovers the Chow-group class, beta = 1 the
 K-theory class of the structure sheaf (reading c1(L) = 1 - [dual L]).
@@ -29,16 +40,19 @@ strict validation).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
-from math import isqrt, prod
+from math import factorial, isqrt, prod
 
 from . import betapoly, fgl, perm, poly
 from .flagring import (
     FlagRingElement,
     SchubertExpansion,
-    normal_form,
+    _reduce_exps,
+    normal_form,  # noqa: F401  (public name of this module; perfbench traces it)
     schubert_expand,
+    staircase_monomials,
 )
 from .perm import Permutation
 
@@ -104,35 +118,232 @@ class DLResult:
         }
 
 
-def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
-    v = perm.compose(w, perm.longest_element(n))
+# Images of the substitution, one per (n, q, monomial), reduced once:
+# _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff, slot, coeff,
+# ..) where slot = staircase index << _BETA_BITS | beta exponent.
+_IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+# _PAIR_FORMS[(n, v)] = (the family member of v, its pair form); the
+# member is kept so that a replaced or rebuilt member is noticed
+_PAIR_FORMS: dict[
+    tuple[int, Permutation], tuple[poly.BetaPolynomial, tuple[int, ...]]
+] = {}
+# _TIMES[n][(local * n + j) * n + d] = normal form of x^k * x_{j+1}^d,
+# where x^k is a staircase monomial whose exponents from x_{j+1} on give
+# the state `local` (its index among the staircase monomials in those
+# variables); the product changes only those exponents, so it is stored
+# as ((slot shift, coeff), ..) with the shifts at beta exponent 0.  Only
+# products that leave the staircase are stored; they do not depend on q.
+_TIMES: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+# a beta exponent of a class is at most its x-degree, so <= n(n-1)/2
+_BETA_BITS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _slots(n: int) -> dict[int, int]:
+    """The slots of S_n met so far, each mapped to itself: every image
+    stores these int objects instead of holding its own."""
+    return {}
+
+
+def _index(m: tuple[int, ...]) -> int:
+    """Position of a staircase monomial in staircase_monomials order."""
+    index = 0
+    for i, mi in enumerate(m):  # the exponent of x_{i+1} has radix i + 1
+        index = index * (i + 1) + mi
+    return index
+
+
+def _split(n: int, code: int) -> tuple[int, int, int]:
+    """(base, pair, j) for a nonzero pair code: pair j (0-based) is its
+    last pair that is not (0, 0), and the base is the code with that
+    pair set to (0, 0)."""
+    nn = n * n
+    place, j, p = 1, n - 1, code % nn
+    while not p:
+        place *= nn
+        j -= 1
+        p = code // place % nn
+    return code - p * place, p, j
+
+
+def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
+    """The beta-sign-flipped double beta-polynomial of v as a flat tuple
+    (pair code, beta exponent, coeff, ..), leaving out the terms whose
+    image vanishes.
+
+    Pair i of a term x^a y^b beta^e is (a_i, b_{n+1-i}); the pairs are
+    encoded in base n, which is injective because a term with some
+    a_i + b_{n+1-i} >= n maps to 0 (x_i^n = 0) and is left out, as is a
+    term of x-degree above n(n-1)/2.  The form is rebuilt whenever the
+    family's entry for v is no longer the member it was built from.
+    """
+    member = betapoly.double_beta_polynomial(v, n)
+    cached = _PAIR_FORMS.get((n, v))
+    if cached is not None and cached[0] is member:
+        return cached[1]
     top = n * (n - 1) // 2
-    free: dict[tuple[tuple[int, ...], int], int] = {}
-    for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
-        c = -c if be % 2 else c  # flip_beta_sign, without a flipped copy
+    form: list[int] = []
+    for (xe, ye, be), c in member.terms().items():
+        if sum(xe) + sum(ye) > top:
+            continue
         xe = xe + (0,) * (n - len(xe))
         ye = ye + (0,) * (n - len(ye))
-        # pair i carries x_i and y_{n+1-i}; both map into x_i alone
-        pairs = [(xe[i], ye[n - 1 - i]) for i in range(n)]
-        rest = [0] * (n + 1)  # least x-degree the pairs after i can add
-        for i in reversed(range(n)):
-            rest[i] = rest[i + 1] + sum(pairs[i])
-        if rest[0] > top:
+        code = 0
+        for i in range(n):
+            a, b = xe[i], ye[n - 1 - i]
+            if a + b >= n:
+                break
+            code = (code * n + a) * n + b
+        else:
+            form += (code, be, -c if be % 2 else c)  # flip_beta_sign
+    packed = tuple(form)
+    _PAIR_FORMS[(n, v)] = (member, packed)
+    return packed
+
+
+def _times_row(
+    n: int, k: tuple[int, ...], j: int, d: int, local: int
+) -> tuple[tuple[int, int], ...]:
+    """Normal form of x^k * x_{j+1}^d as ((slot shift, coeff), ..) at
+    beta exponent 0, for x^k in state `local` (see _TIMES)."""
+    e = (0,) * j + (k[j] + d,) + k[j + 1 :]
+    return tuple(
+        ((_index(m) - local) << _BETA_BITS, c) for m, c in _reduce_exps(n, e).items()
+    )
+
+
+_UNSEEN = (0, 0, 0, -1)  # a code _build_images has not planned yet
+
+
+def _build_images(
+    n: int, q: int, form: tuple[int, ...], images: dict[int, tuple[int, ...]]
+) -> None:
+    """Add to `images`, the memo of (n, q) (which holds the image of
+    code 0, the monomial 1), the reduced image of every pair code of the
+    pair form `form` that it lacks, each as a flat (slot, coeff, ..)
+    tuple.
+
+    The image of a code is that of its base, the code with its last
+    pair that is not (0, 0), pair j, set to (0, 0), times the table of
+    pair j in x_j.  x^k * x_j^d changes only k_j, .., k_n, and stays a
+    staircase monomial while k_j + d <= j - 1.  For the last pair that
+    is all: x_n^n = 0, so x^k * x_n^d is x^(k + d e_n) or 0, and no
+    image reduces anything there.  Earlier pairs look up the products
+    that do leave the staircase in _TIMES.
+
+    Missing bases are built too, and kept, since the members of S_n use
+    them as codes; but a code of x-degree n(n-1)/2 has a single term,
+    a multiple of the class of a point, so the bases it needs alone are
+    built only up to the x-degree it can use and not kept.  Every code
+    of the top member, the one a single query for the identity reads,
+    is such a code.
+    """
+    nn = n * n
+    top = n * (n - 1) // 2
+    # code -> (base, pair, j, the x-degree up to which it is built)
+    todo: dict[int, tuple[int, int, int, int]] = {}
+    for code in form[::3]:
+        if code in images or todo.get(code, _UNSEEN)[3] == top:
             continue
-        partial = [((), 0, be, c)]
-        for i, (a, b) in enumerate(pairs):
-            cap = top - rest[i + 1]
-            partial = [
-                (exps + (d,), deg + d, beta + tb, coeff * tc)
-                for exps, deg, beta, coeff in partial
-                for d, tb, tc in fgl.pair_table(n, q, a, b)
-                if deg + d <= cap
-            ]
-        for exps, _, beta, coeff in partial:
-            key = (exps, beta)
-            free[key] = free.get(key, 0) + coeff
-    free_poly = {(poly._strip(e), (), be): c for (e, be), c in free.items()}
-    return normal_form(poly.BetaPolynomial(free_poly), n)
+        degree, c = 0, code
+        while c:
+            c, digit = divmod(c, nn)
+            degree += digit // n + digit % n
+        cap = top
+        while code not in images and todo.get(code, _UNSEEN)[3] < cap:
+            rest, p, j = _split(n, code)
+            todo[code] = (rest, p, j, cap)
+            if degree < top:  # bases in full
+                code = rest
+            else:
+                code, cap = rest, cap - p // n - p % n
+    mons = staircase_monomials(n)
+    degrees = [sum(m) for m in mons]
+    times = _TIMES.setdefault(n, {})
+    slots = _slots(n)
+    # slot step of one more power of x_{j+1}, and the number of states
+    # of the exponents of x_{j+1}, .., x_n
+    steps = [factorial(n) // factorial(j + 1) << _BETA_BITS for j in range(n)]
+    states = [factorial(n) // factorial(j) for j in range(n)]
+    part: dict[int, tuple[int, ...]] = {}  # bases built below top
+    for code in sorted(todo):  # a base sorts before the codes built on it
+        rest, p, j, cap = todo[code]
+        table = fgl.pair_table(n, q, p // n, p % n)
+        out: dict[int, int] = {}
+        get = out.get
+        base = images.get(rest)
+        pairs = iter(base if base is not None else part[rest])
+        # the table lists its entries by ascending power of t, and none
+        # may take the x-degree past cap
+        if j == n - 1:
+            for slot, c in zip(pairs, pairs):
+                index = slot >> _BETA_BITS
+                room = n - 1 - index % n  # free powers of x_n
+                if cap - degrees[index] < room:
+                    room = cap - degrees[index]
+                for d, tb, tc in table:
+                    if d > room:
+                        break
+                    s = slot + (d << _BETA_BITS) + tb
+                    out[s] = get(s, 0) + c * tc
+        else:
+            step, radix = steps[j], states[j]
+            for slot, c in zip(pairs, pairs):
+                index = slot >> _BETA_BITS
+                k = mons[index]
+                room = j - k[j]
+                local = index % radix
+                most = cap - degrees[index]
+                for d, tb, tc in table:
+                    if d > most:
+                        break
+                    if d <= room:
+                        s = slot + d * step + tb
+                        out[s] = get(s, 0) + c * tc
+                        continue
+                    key = (local * n + j) * n + d
+                    row = times.get(key)
+                    if row is None:
+                        row = times[key] = _times_row(n, k, j, d, local)
+                    slot2 = slot + tb
+                    c2 = c * tc
+                    for shift, rc in row:
+                        s = slot2 + shift
+                        out[s] = get(s, 0) + c2 * rc
+        flat: list[int] = []
+        for s, c in out.items():
+            if c:
+                flat += (slots.setdefault(s, s), c)
+        if cap == top:
+            images[code] = tuple(flat)
+        else:
+            part[code] = tuple(flat)
+
+
+def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
+    """The CK class as sum c * beta^e * image(pairs) over the terms of
+    the family member of w.w0; the images are in normal form already."""
+    form = _pair_form(perm.compose(w, perm.longest_element(n)), n)
+    images = _IMAGES.get((n, q))
+    if images is None:
+        images = _IMAGES[(n, q)] = {0: (0, 1)}
+    acc: dict[int, int] = {}
+    get = acc.get
+    it = iter(form)
+    for code, be, c in zip(it, it, it):
+        image = images.get(code)
+        if image is None:
+            _build_images(n, q, form, images)
+            image = images[code]
+        pairs = iter(image)
+        for slot, ic in zip(pairs, pairs):
+            slot += be
+            acc[slot] = get(slot, 0) + c * ic
+    mons = staircase_monomials(n)
+    mask = (1 << _BETA_BITS) - 1
+    return FlagRingElement(
+        n, {(mons[slot >> _BETA_BITS], slot & mask): c for slot, c in acc.items()}
+    )
 
 
 def dl_class(query: DLQuery, strict: bool = False) -> DLResult:

@@ -121,8 +121,8 @@ def _series_mul(f: Series, g: Series, n: int) -> Series:
 def pair_table(n: int, m: int, a: int, b: int) -> Series:
     """([m]t)^a * inverse(t)^b mod t^n.
 
-    Every entry has t-degree at least a + b; the table is empty when
-    a + b >= n."""
+    Every entry has t-degree at least a + b, and the entries come in
+    ascending t-degree; the table is empty when a + b >= n."""
     if b:
         return _series_mul(pair_table(n, m, a, b - 1), inverse_series(n), n)
     if a:

@@ -272,26 +272,31 @@ def embed(w: Permutation, n: int) -> Permutation:
     return tuple(w) + tuple(range(len(w) + 1, n + 1))
 
 
+class PermutationSyntaxError(ValueError):
+    """The text is not a bracketed, comma separated list of integers."""
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse "[3,1,2]" (brackets optional, whitespace ignored).
+
+    Malformed text raises PermutationSyntaxError; a well-formed list
+    that is not a permutation raises ValueError from check_permutation.
 
     >>> parse_permutation("[3, 1, 2]")
     (3, 1, 2)
     """
     s = text.strip()
+    if s.startswith("[") != s.endswith("]"):
+        raise PermutationSyntaxError(f"unbalanced brackets in permutation: {text!r}")
     if s.startswith("["):
-        if not s.endswith("]"):
-            raise ValueError(f"unbalanced brackets in permutation: {text!r}")
         s = s[1:-1]
-    elif s.endswith("]"):
-        raise ValueError(f"unbalanced brackets in permutation: {text!r}")
     parts = [p.strip() for p in s.split(",")] if s else []
     if not parts or any(not p for p in parts):
-        raise ValueError(f"cannot parse permutation: {text!r}")
+        raise PermutationSyntaxError(f"cannot parse permutation: {text!r}")
     try:
         word = [int(p) for p in parts]
     except ValueError:
-        raise ValueError(f"cannot parse permutation: {text!r}") from None
+        raise PermutationSyntaxError(f"cannot parse permutation: {text!r}") from None
     return check_permutation(word)
 
 

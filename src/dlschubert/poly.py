@@ -351,27 +351,23 @@ class BetaPolynomial:
 # -- canonical ordering, rendering, JSON -------------------------------
 
 
-def _pad(exp: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return exp + (0,) * (n - len(exp))
-
-
 def sorted_terms(p: BetaPolynomial) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
     """Terms as (x_exp, y_exp, beta_exp, coeff) in canonical order:
     graded by |x|+|y|, then descending lex on x_exp, then y_exp, then
-    ascending beta_exp."""
-    nx = p.max_x_index()
-    ny = p.max_y_index()
+    ascending beta_exp.
+
+    The stripped exponent tuples compare as their zero-padded forms
+    would (a stripped tuple that extends another ends in a positive
+    entry), so one reversed sort on them gives that order."""
 
     def key(item):
         (xe, ye, be), _ = item
-        return (
-            sum(xe) + sum(ye),
-            tuple(-e for e in _pad(xe, nx)),
-            tuple(-e for e in _pad(ye, ny)),
-            be,
-        )
+        return (-(sum(xe) + sum(ye)), xe, ye, -be)
 
-    return [(xe, ye, be, c) for (xe, ye, be), c in sorted(p.terms().items(), key=key)]
+    return [
+        (xe, ye, be, c)
+        for (xe, ye, be), c in sorted(p._terms.items(), key=key, reverse=True)
+    ]
 
 
 def format_terms(entries, fmt: str, xsym: str = "x", ysym: str = "y") -> str:

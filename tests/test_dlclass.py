@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from dlschubert import betapoly, fgl, perm
+from dlschubert import betapoly, clear_caches, fgl, perm, poly
 from dlschubert.dlclass import (
     CONVENTIONS,
     DLQuery,
@@ -23,6 +23,7 @@ from dlschubert.dlclass import (
 )
 from dlschubert.flagring import (
     FlagRingElement,
+    normal_form,
     point_coefficient,
     staircase_monomials,
 )
@@ -199,6 +200,79 @@ def test_ck_element_matches_substitution_s5():
         cases.append((w, rng.choice((3, 4, 5, 7))))
     for w, q in cases:
         assert _ck_element(w, 5, q) == _ck_element_by_substitution(w, 5, q), (w, q)
+
+
+def _ck_element_by_tables(w, n, q):
+    """Reference route: every term of the beta-sign-flipped member of
+    w.w0 expanded over its n pair tables, the free monomials summed, and
+    the sum reduced by one normal form per class."""
+    v = perm.compose(w, perm.longest_element(n))
+    top = n * (n - 1) // 2
+    free = {}
+    for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
+        c = -c if be % 2 else c
+        xe = xe + (0,) * (n - len(xe))
+        ye = ye + (0,) * (n - len(ye))
+        partial = [((), be, c)]
+        for i in range(n):
+            table = fgl.pair_table(n, q, xe[i], ye[n - 1 - i])
+            partial = [
+                (exps + (d,), beta + tb, coeff * tc)
+                for exps, beta, coeff in partial
+                for d, tb, tc in table
+            ]
+        for exps, beta, coeff in partial:
+            if sum(exps) <= top:
+                key = (poly._strip(exps), (), beta)
+                free[key] = free.get(key, 0) + coeff
+    return normal_form(poly.BetaPolynomial(free), n)
+
+
+def test_ck_element_matches_table_expansion():
+    for n in (2, 3, 4):
+        for q in (2, 3, 4, 5, 7, 16, 1031):
+            for w in perm.all_permutations(n):
+                assert _ck_element(w, n, q) == _ck_element_by_tables(w, n, q), (w, q)
+
+
+def test_ck_element_matches_table_expansion_s5():
+    rng = random.Random(5)
+    ws = [perm.identity(5), perm.longest_element(5)]
+    ws += rng.sample(sorted(perm.all_permutations(5)), 6)
+    for w in ws:
+        for q in (2, 3, 9):
+            assert _ck_element(w, 5, q) == _ck_element_by_tables(w, 5, q), (w, q)
+
+
+def test_ck_element_does_not_depend_on_memo_history():
+    ws, qs = sorted(perm.all_permutations(4)), (2, 3, 7)
+    forward = [(w, q) for q in qs for w in ws]
+    # reversed, with q changing from one class to the next
+    backward = [(w, q) for w in reversed(ws) for q in reversed(qs)]
+    clear_caches()
+    first = {(w, q): _ck_element(w, 4, q) for w, q in forward}
+    clear_caches()
+    assert {(w, q): _ck_element(w, 4, q) for w, q in backward} == first
+    assert {(w, q): _ck_element(w, 4, q) for w, q in forward} == first
+    clear_caches()
+    assert {(w, q): _ck_element(w, 4, q) for w, q in forward} == first
+
+
+def test_ck_element_follows_the_family_entry():
+    # a member replaced by prime_cache or rebuilt after clear_cache must
+    # not be read through a pair form derived from the old one
+    w, n, q = (2, 1, 3, 4), 4, 5
+    v = perm.compose(w, perm.longest_element(n))
+    member = betapoly.double_beta_polynomial(v, n)
+    expected = _ck_element(w, n, q)
+    try:
+        betapoly.prime_cache(v, n, member * 3)
+        assert _ck_element(w, n, q) == 3 * expected
+        betapoly.clear_cache()
+        assert _ck_element(w, n, q) == expected
+    finally:
+        betapoly.prime_cache(v, n, member)
+    assert _ck_element(w, n, q) == expected
 
 
 def test_metadata():

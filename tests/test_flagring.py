@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dlschubert import betapoly, clear_caches, fgl, flagring, perm
+from dlschubert import betapoly, clear_caches, dlclass, fgl, flagring, perm
 from dlschubert.flagring import (
     FlagRingElement,
     SchubertExpansion,
@@ -248,9 +248,14 @@ def test_clear_caches():
     product = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     family = betapoly.double_beta_polynomial((2, 3, 1), 3)
     table = fgl.pair_table(3, 5, 1, 1)
+    element = dlclass._ck_element((1, 2, 3), 3, 5)
+    assert dlclass._IMAGES and dlclass._PAIR_FORMS and dlclass._TIMES
     clear_caches()
     assert not flagring._REDUCE_MEMO
     assert not betapoly._FAMILY
+    assert not dlclass._IMAGES
+    assert not dlclass._PAIR_FORMS
+    assert not dlclass._TIMES
     for cached in (
         schubert_class,
         _transition_blocks,
@@ -262,6 +267,7 @@ def test_clear_caches():
     again = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     assert again.coefficients == product.coefficients
     assert betapoly.double_beta_polynomial((2, 3, 1), 3) == family
+    assert dlclass._ck_element((1, 2, 3), 3, 5) == element
 
 
 def test_schubert_classes_have_unit_leading_term():

@@ -201,6 +201,18 @@ def test_parse_format_roundtrip():
             perm.parse_permutation(bad)
 
 
+def test_parse_errors_tell_syntax_from_content():
+    # malformed text and a well-formed non-permutation raise different
+    # exceptions (the CLI exits with 2 and 3 on them)
+    for bad in ("[3,1", "3,1]", "", "[]", "[ ]", "[a,b]", "[1,,2]", "[[1,2]", "[1,2]]"):
+        with pytest.raises(perm.PermutationSyntaxError):
+            perm.parse_permutation(bad)
+    for wrong in ("[1,1]", "[0,1]", "[2,3]"):
+        with pytest.raises(ValueError) as info:
+            perm.parse_permutation(wrong)
+        assert not isinstance(info.value, perm.PermutationSyntaxError)
+
+
 def test_embed():
     assert perm.embed((2, 1), 4) == (2, 1, 3, 4)
     with pytest.raises(ValueError):

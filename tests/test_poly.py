@@ -216,6 +216,28 @@ def test_canonical_order():
     ]
 
 
+def _sorted_terms_by_padded_key(p):
+    """The canonical order by its definition: degree, then the negated
+    zero-padded x and y exponents, then the beta exponent, ascending."""
+    nx, ny = p.max_x_index(), p.max_y_index()
+
+    def key(item):
+        (xe, ye, be), _ = item
+        return (
+            sum(xe) + sum(ye),
+            tuple(-e for e in xe + (0,) * (nx - len(xe))),
+            tuple(-e for e in ye + (0,) * (ny - len(ye))),
+            be,
+        )
+
+    return [(xe, ye, be, c) for (xe, ye, be), c in sorted(p.terms().items(), key=key)]
+
+
+@h.given(small_polys())
+def test_sorted_terms_matches_padded_key(p):
+    assert sorted_terms(p) == _sorted_terms_by_padded_key(p)
+
+
 @h.given(small_polys())
 def test_json_roundtrip(p):
     blob = json.dumps(to_json_terms(p))
