@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from dlschubert import dlclass, perm
+from dlschubert import perm, verify
 
 
 @dataclass(frozen=True)
@@ -41,36 +41,13 @@ def parse_args(argv: list[str]) -> SurveyConfig:
     return SurveyConfig(ns.n_min, ns.n_max, tuple(ns.qs))
 
 
-def survey(n: int, q: int) -> dict:
-    negatives = []
-    biggest = (0, None, None)
-    support = 0
-    classes = 0
-    for w in perm.all_permutations(n):
-        coeffs = dlclass.dl_class_ch(w, n, q).expansion.coefficients
-        classes += 1
-        support += len(coeffs)
-        for v, scalar in coeffs.items():
-            c = scalar.get(0, 0)
-            if c < 0:
-                negatives.append((w, v, c))
-            if abs(c) > biggest[0]:
-                biggest = (abs(c), w, v)
-    return {
-        "classes": classes,
-        "avg_support": support / classes,
-        "negatives": negatives,
-        "biggest": biggest,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     saw_negative = False
     for n in range(cfg.n_min, cfg.n_max + 1):
         for q in cfg.qs:
             t0 = time.perf_counter()
-            stats = survey(n, q)
+            stats = verify.coefficient_survey(n, q)
             dt = time.perf_counter() - t0
             big, w, v = stats["biggest"]
             print(

@@ -34,11 +34,6 @@ def _terms_checksum(terms: list[dict]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def default_cache_dir() -> Path | None:
-    env = os.environ.get(ENV_CACHE_DIR)
-    return Path(env) if env else None
-
-
 class PolynomialCache:
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import functools
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from math import factorial, isqrt, prod
 
-from . import betapoly, fgl, perm, poly
+from . import betapoly, fgl, perm
 from .flagring import (
     FlagRingElement,
     SchubertExpansion,
@@ -122,11 +123,10 @@ class DLResult:
 # _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff, slot, coeff,
 # ..) where slot = staircase index << _BETA_BITS | beta exponent.
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-# _PAIR_FORMS[(n, v)] = (the family member of v, its pair form); the
-# member is kept so that a replaced or rebuilt member is noticed
-_PAIR_FORMS: dict[
-    tuple[int, Permutation], tuple[poly.BetaPolynomial, tuple[int, ...]]
-] = {}
+# _PAIR_FORMS[(n, v)] = (weak reference to the family member of v, its
+# pair form); it notices a replaced or rebuilt member without keeping a
+# member alive that betapoly.clear_cache() dropped
+_PAIR_FORMS: dict[tuple[int, Permutation], tuple[weakref.ref, tuple[int, ...]]] = {}
 # _TIMES[n][(local * n + j) * n + d] = normal form of x^k * x_{j+1}^d,
 # where x^k is a staircase monomial whose exponents from x_{j+1} on give
 # the state `local` (its index among the staircase monomials in those
@@ -179,7 +179,7 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
     """
     member = betapoly.double_beta_polynomial(v, n)
     cached = _PAIR_FORMS.get((n, v))
-    if cached is not None and cached[0] is member:
+    if cached is not None and cached[0]() is member:
         return cached[1]
     top = n * (n - 1) // 2
     form: list[int] = []
@@ -197,7 +197,7 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
         else:
             form += (code, be, -c if be % 2 else c)  # flip_beta_sign
     packed = tuple(form)
-    _PAIR_FORMS[(n, v)] = (member, packed)
+    _PAIR_FORMS[(n, v)] = (weakref.ref(member), packed)
     return packed
 
 

@@ -17,18 +17,15 @@ import functools
 from math import comb
 
 from .flagring import FlagRingElement
+from .poly import _collect
 
 # a truncated power series in one variable t: ((t_degree, beta_exp, coeff), ..)
 Series = tuple[tuple[int, int, int], ...]
 
 
-def _beta_of(a):
-    return a.ring_beta()
-
-
 def fgl_add(a, b):
     """a + b - beta*a*b (the class of a tensor product of line bundles)."""
-    return a + b - _beta_of(a) * (a * b)
+    return a + b - a.ring_beta() * (a * b)
 
 
 def fgl_inverse(a: FlagRingElement) -> FlagRingElement:
@@ -71,7 +68,7 @@ def n_times(m: int, a):
     acc = a.ring_zero()
     if m == 0:
         return acc
-    beta = _beta_of(a)
+    beta = a.ring_beta()
     a_pow = a.ring_one()
     mb_pow = a.ring_one()  # (-beta)^(i-1)
     for i in range(1, m + 1):
@@ -108,13 +105,9 @@ def inverse_series(n: int) -> Series:
 
 
 def _series_mul(f: Series, g: Series, n: int) -> Series:
-    out: dict[tuple[int, int], int] = {}
-    for df, bf, cf in f:
-        for dg, bg, cg in g:
-            if df + dg < n:
-                key = (df + dg, bf + bg)
-                out[key] = out.get(key, 0) + cf * cg
-    return tuple((d, be, c) for (d, be), c in sorted(out.items()) if c)
+    out = _collect(((df + dg, bf + bg), cf * cg)
+                   for df, bf, cf in f for dg, bg, cg in g if df + dg < n)
+    return tuple((d, be, c) for (d, be), c in sorted(out.items()))
 
 
 @functools.lru_cache(maxsize=None)

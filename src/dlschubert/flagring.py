@@ -10,6 +10,13 @@ result is independent of rewrite order.  The relations are homogeneous
 in x, hence normal forms preserve the x-degree and the beta-grading,
 and every monomial of degree above n(n-1)/2 is zero.
 
+An element, FlagRingElement, is a ``poly.SparseTerms`` keyed by
+(staircase exponents, beta exponent): the core gives it addition,
+subtraction, powers, equality, scaling and the beta specializations.
+It adds the ring size n (elements of different n do not mix), the
+multiplication that reduces each product monomial, the staircase
+accessors, rendering and JSON.
+
 Schubert classes are indexed so that length(w) = codimension and are
 computed inside the ring.  The class of the longest element is the
 point class x1^(n-1) x2^(n-2) ... x_(n-1); going down a right ascent
@@ -119,12 +126,21 @@ def _reduce_exps(n: int, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 TermKey = tuple[tuple[int, ...], int]  # (exponents of length n, beta exponent)
 
 
-class FlagRingElement:
-    __slots__ = ("n", "_terms")
+class FlagRingElement(poly.SparseTerms):
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Mapping[TermKey, int] | None = None):
         self.n = n
         self._terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def _new(self, terms):
+        return FlagRingElement(self.n, terms)
+
+    def _unit(self, be: int):
+        return ((0,) * self.n, be)
+
+    def _ring(self):
+        return self.n
 
     # -- constructors --------------------------------------------------
 
@@ -158,100 +174,26 @@ class FlagRingElement:
 
     # -- ring structure --------------------------------------------------
 
-    def _check(self, other: "FlagRingElement"):
-        if self.n != other.n:
-            raise ValueError(f"ring size mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = FlagRingElement.from_int(self.n, other)
-        if not isinstance(other, FlagRingElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return FlagRingElement(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FlagRingElement(self.n, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = FlagRingElement.from_int(self.n, other)
-        if not isinstance(other, FlagRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return FlagRingElement.zero(self.n)
-            return FlagRingElement(
-                self.n, {m: c * other for m, c in self._terms.items()}
-            )
+            return self._scale(other)
         if not isinstance(other, FlagRingElement):
             return NotImplemented
         self._check(other)
         n = self.n
-        out: dict[TermKey, int] = {}
-        for (ea, ba), ca in self._terms.items():
-            for (eb, bb), cb in other._terms.items():
-                prod = tuple(p + q for p, q in zip(ea, eb))
-                be = ba + bb
-                cc = ca * cb
-                # drop cancelled terms at once: products cancel heavily here
-                for sm, sc in _reduce_exps(n, prod).items():
-                    key = (sm, be)
-                    nc = out.get(key, 0) + cc * sc
-                    if nc:
-                        out[key] = nc
-                    else:
-                        out.pop(key, None)
-        return FlagRingElement(n, out)
+        return FlagRingElement(n, poly._collect(
+            ((sm, ba + bb), ca * cb * sc)
+            for (ea, ba), ca in self._terms.items()
+            for (eb, bb), cb in other._terms.items()
+            for sm, sc in _reduce_exps(n, tuple(p + q for p, q in zip(ea, eb))).items()
+        ))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        result = FlagRingElement.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = FlagRingElement.from_int(self.n, other)
-        if not isinstance(other, FlagRingElement):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __repr__(self):
         return f"FlagRingElement(n={self.n}, {self.render()!r})"
 
     # -- inspection -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict[TermKey, int]:
-        return dict(self._terms)
 
     def coefficient(self, exps: Iterable[int], beta: int = 0) -> int:
         return self._terms.get((tuple(exps), beta), 0)
@@ -261,21 +203,8 @@ class FlagRingElement:
         z = (0,) * self.n
         return {be: c for (m, be), c in self._terms.items() if m == z}
 
-    def beta_component(self, k: int) -> "FlagRingElement":
-        return FlagRingElement(
-            self.n, {m: c for m, c in self._terms.items() if m[1] == k}
-        )
-
     def max_x_degree(self) -> int:
         return max((sum(m) for (m, _) in self._terms), default=0)
-
-    # -- specializations ---------------------------------------------------
-
-    def specialize_beta(self, value: int) -> "FlagRingElement":
-        out: dict[TermKey, int] = {}
-        for (m, be), c in self._terms.items():
-            out[(m, 0)] = out.get((m, 0), 0) + c * value**be
-        return FlagRingElement(self.n, out)
 
     def to_polynomial(self) -> BetaPolynomial:
         """The staircase representative as a free polynomial."""
@@ -283,16 +212,6 @@ class FlagRingElement:
         for (m, be), c in self._terms.items():
             out[(poly._strip(m), (), be)] = c
         return BetaPolynomial(out)
-
-    # generic ring hooks (see BetaPolynomial.substitute)
-    def ring_zero(self):
-        return FlagRingElement.zero(self.n)
-
-    def ring_one(self):
-        return FlagRingElement.one(self.n)
-
-    def ring_beta(self):
-        return FlagRingElement.beta(self.n)
 
     # -- rendering / JSON ---------------------------------------------------
 
@@ -327,8 +246,7 @@ class FlagRingElement:
         out: dict[TermKey, int] = {}
         for t in data["terms"]:
             exps = tuple(int(e) for e in t["x"])
-            if len(exps) != n:
-                exps = exps + (0,) * (n - len(exps))
+            exps += (0,) * (n - len(exps))  # pad a stripped tuple to length n
             key = (exps, int(t["beta"]))
             out[key] = out.get(key, 0) + int(t["coeff"])
         return cls(n, out)
@@ -346,13 +264,11 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
         raise ValueError(
             f"polynomial mentions x{p.max_x_index()} but the ring has n={n}"
         )
-    out: dict[TermKey, int] = {}
-    for (xe, _, be), c in p.terms().items():
-        exps = xe + (0,) * (n - len(xe))
-        for sm, sc in _reduce_exps(n, exps).items():
-            key = (sm, be)
-            out[key] = out.get(key, 0) + c * sc
-    return FlagRingElement(n, out)
+    return FlagRingElement(n, poly._collect(
+        ((sm, be), c * sc)
+        for (xe, _, be), c in p.terms().items()
+        for sm, sc in _reduce_exps(n, xe + (0,) * (n - len(xe))).items()
+    ))
 
 
 # -- Schubert classes and expansion ------------------------------------

@@ -1,6 +1,14 @@
 """Exact sparse polynomials over ZZ in two alphabets x1.., y1.. and a
 formal parameter beta.
 
+``SparseTerms`` is the core shared with the quotient-ring elements of
+``flagring``: a dict of nonzero int coefficients whose keys end in the
+beta exponent.  It holds everything that does not depend on the ring:
+addition, subtraction, negation, powers, equality, int scaling, the
+beta specializations and the ``ring_*`` hooks.  ``BetaPolynomial`` adds
+the free double-polynomial key, its multiplication, the variable
+operations, rendering and JSON.
+
 A monomial is keyed by ``(x_exp, y_exp, beta_exp)`` where the exponent
 tuples have trailing zeros stripped, so structural dict equality is
 polynomial equality.  Coefficients are arbitrary-precision ints.
@@ -17,7 +25,7 @@ intact across JSON implementations.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -52,12 +60,148 @@ def _add_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b + (0,) * (len(a) - len(b))))
 
 
-class BetaPolynomial:
-    __slots__ = ("_terms",)
+def _collect(items: Iterable[tuple], out: dict | None = None) -> dict:
+    """Add each (key, coeff) of items into out (a new dict by default),
+    dropping every key whose sum cancels to zero at once; returns out."""
+    out = {} if out is None else out
+    for m, c in items:
+        nc = out.get(m, 0) + c
+        if nc:
+            out[m] = nc
+        else:
+            out.pop(m, None)
+    return out
+
+
+class SparseTerms:
+    """A sparse element over ZZ[beta]: {key: nonzero coeff}, where the
+    last entry of every key is the beta exponent.
+
+    A subclass fixes the ring.  It defines ``_new(terms)``, the element
+    of self's ring with the nonzero terms of that dict, and
+    ``_unit(be)``, the key of beta^be; it overrides ``_ring()`` when
+    elements of different rings of its type exist, which then do not
+    mix; and it defines its own ``__mul__`` (with ``__rmul__ =
+    __mul__``), handing an int to ``_scale``.
+    """
+
+    __slots__ = ("_terms", "__weakref__")
+
+    def _ring(self):
+        return None
+
+    def _check(self, other: "SparseTerms") -> None:
+        if self._ring() != other._ring():
+            raise ValueError(f"ring size mismatch: {self._ring()} vs {other._ring()}")
+
+    def _operand(self, other):
+        """other as an element of self's type, or NotImplemented."""
+        if isinstance(other, int):
+            return self._new({self._unit(0): other})
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    # -- ring structure ----------------------------------------------
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        self._check(other)
+        return self._new(_collect(other._terms.items(), dict(self._terms)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._scale(-1)
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, c: int):
+        return self._new({m: v * c for m, v in self._terms.items()})
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power")
+        result = self.ring_one()
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self._ring() == other._ring() and self._terms == other._terms
+
+    __hash__ = None  # mutable payload; not intended as a dict key
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    # -- inspection ---------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def num_terms(self) -> int:
+        return len(self._terms)
+
+    def beta_component(self, k: int):
+        """The terms with beta exponent k."""
+        return self._new({m: c for m, c in self._terms.items() if m[-1] == k})
+
+    # -- beta ----------------------------------------------------------
+
+    def specialize_beta(self, value: int):
+        """Substitute a concrete integer for beta (the rest stays formal)."""
+        out: dict = {}
+        for m, c in self._terms.items():
+            key = m[:-1] + (0,) if m[-1] else m
+            out[key] = out.get(key, 0) + c * value ** m[-1]
+        return self._new(out)
+
+    def flip_beta_sign(self):
+        """Substitute beta -> -beta; an involution."""
+        return self._new({m: (-c if m[-1] % 2 else c) for m, c in self._terms.items()})
+
+    # generic ring hooks used by substitute() and the formal-group ops
+    def ring_zero(self):
+        return self._new({})
+
+    def ring_one(self):
+        return self._new({self._unit(0): 1})
+
+    def ring_beta(self):
+        return self._new({self._unit(1): 1})
+
+
+class BetaPolynomial(SparseTerms):
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         # assumes keys already have stripped exponent tuples
         self._terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def _new(self, terms):
+        return BetaPolynomial(terms)
+
+    def _unit(self, be: int):
+        return ((), (), be)
 
     # -- constructors ------------------------------------------------
 
@@ -98,93 +242,23 @@ class BetaPolynomial:
 
     # -- ring structure ----------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = BetaPolynomial.const(other)
-        if not isinstance(other, BetaPolynomial):
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return BetaPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BetaPolynomial({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BetaPolynomial.const(other)
-        if not isinstance(other, BetaPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return BetaPolynomial.zero()
-            return BetaPolynomial({m: c * other for m, c in self._terms.items()})
+            return self._scale(other)
         if not isinstance(other, BetaPolynomial):
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for (xa, ya, ba), ca in self._terms.items():
-            for (xb, yb, bb), cb in other._terms.items():
-                m = (_add_exp(xa, xb), _add_exp(ya, yb), ba + bb)
-                nc = out.get(m, 0) + ca * cb
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return BetaPolynomial(out)
+        return BetaPolynomial(_collect(
+            ((_add_exp(xa, xb), _add_exp(ya, yb), ba + bb), ca * cb)
+            for (xa, ya, ba), ca in self._terms.items()
+            for (xb, yb, bb), cb in other._terms.items()
+        ))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        result = BetaPolynomial.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = BetaPolynomial.const(other)
-        if not isinstance(other, BetaPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # mutable payload; not intended as a dict key
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __repr__(self):
         return f"BetaPolynomial({render(self)!r})"
 
     # -- inspection ---------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
-
-    def num_terms(self) -> int:
-        return len(self._terms)
 
     def coefficient(self, x: Iterable[int] = (), y: Iterable[int] = (),
                     beta: int = 0) -> int:
@@ -237,34 +311,6 @@ class BetaPolynomial:
         return BetaPolynomial({
             m: c for m, c in self._terms.items() if not m[1]
         })
-
-    def specialize_beta(self, value: int) -> "BetaPolynomial":
-        """Substitute a concrete integer for beta (x, y stay formal)."""
-        out: dict[Monomial, int] = {}
-        for (xe, ye, be), c in self._terms.items():
-            nc = out.get((xe, ye, 0), 0) + c * value**be
-            m = (xe, ye, 0)
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return BetaPolynomial(out)
-
-    def flip_beta_sign(self) -> "BetaPolynomial":
-        """Substitute beta -> -beta; an involution."""
-        return BetaPolynomial({
-            m: (-c if m[2] % 2 else c) for m, c in self._terms.items()
-        })
-
-    # generic ring hooks used by substitute() and the formal-group ops
-    def ring_zero(self):
-        return BetaPolynomial.zero()
-
-    def ring_one(self):
-        return BetaPolynomial.one()
-
-    def ring_beta(self):
-        return BetaPolynomial.beta()
 
     def substitute(self, xmap: Mapping[int, object], ymap: Mapping[int, object]):
         """Ring-homomorphic image with x_i -> xmap[i], y_j -> ymap[j].
@@ -328,23 +374,15 @@ class BetaPolynomial:
                 raise ExactDivisionError(
                     f"polynomial is not divisible by x{i} - x{i + 1}"
                 )
+            # x_i^d r = (x_i - x_{i+1}) x_i^(d-1) r + x_{i+1} x_i^(d-1) r
             lead = [(m, c) for m, c in rem.items() if _exp_at(m[0], i) == d]
-            for (xe, ye, be), c in lead:
-                qxe = _set_exp(xe, i, d - 1)
-                qm = (qxe, ye, be)
-                nc = quo.get(qm, 0) + c
-                if nc:
-                    quo[qm] = nc
-                else:
-                    quo.pop(qm, None)
-                del rem[(xe, ye, be)]
-                sxe = _set_exp(qxe, i + 1, _exp_at(qxe, i + 1) + 1)
-                sm = (sxe, ye, be)
-                nc = rem.get(sm, 0) + c
-                if nc:
-                    rem[sm] = nc
-                else:
-                    rem.pop(sm, None)
+            for m, _ in lead:
+                del rem[m]
+            shifted = [((_set_exp(xe, i, d - 1), ye, be), c)
+                       for (xe, ye, be), c in lead]
+            _collect(shifted, quo)
+            _collect((((_set_exp(xe, i + 1, _exp_at(xe, i + 1) + 1), ye, be), c)
+                      for (xe, ye, be), c in shifted), rem)
         return BetaPolynomial(quo)
 
 
@@ -373,52 +411,35 @@ def sorted_terms(p: BetaPolynomial) -> list[tuple[tuple[int, ...], tuple[int, ..
 def format_terms(entries, fmt: str, xsym: str = "x", ysym: str = "y") -> str:
     """Shared pretty-printer; entries are (x_exp, y_exp, beta_exp, coeff)
     already in output order."""
-    if fmt not in ("plain", "latex"):
+    if fmt == "plain":
+        beta, beta_pow, var, var_pow, joiner = "beta", "beta^%d", "%s%d", "%s%d^%d", "*"
+    elif fmt == "latex":
+        beta, beta_pow, var, var_pow, joiner = (
+            r"\beta", r"\beta^{%d}", "%s_{%d}", "%s_{%d}^{%d}", " ")
+    else:
         raise ValueError(f"unknown format: {fmt!r}")
     pieces: list[str] = []
+    # (alphabet, exponents) -> its factors joined; few distinct per call
+    parts: dict[tuple[str, tuple[int, ...]], str] = {}
     for xe, ye, be, c in entries:
-        factors: list[str] = []
-        if fmt == "latex":
-            if be == 1:
-                factors.append(r"\beta")
-            elif be > 1:
-                factors.append(r"\beta^{%d}" % be)
-            for i, e in enumerate(xe, start=1):
-                if e == 1:
-                    factors.append("%s_{%d}" % (xsym, i))
-                elif e > 1:
-                    factors.append("%s_{%d}^{%d}" % (xsym, i, e))
-            for j, e in enumerate(ye, start=1):
-                if e == 1:
-                    factors.append("%s_{%d}" % (ysym, j))
-                elif e > 1:
-                    factors.append("%s_{%d}^{%d}" % (ysym, j, e))
-            body = " ".join(factors)
-            joiner = " "
-        else:
-            if be == 1:
-                factors.append("beta")
-            elif be > 1:
-                factors.append(f"beta^{be}")
-            for i, e in enumerate(xe, start=1):
-                if e == 1:
-                    factors.append(f"{xsym}{i}")
-                elif e > 1:
-                    factors.append(f"{xsym}{i}^{e}")
-            for j, e in enumerate(ye, start=1):
-                if e == 1:
-                    factors.append(f"{ysym}{j}")
-                elif e > 1:
-                    factors.append(f"{ysym}{j}^{e}")
-            body = "*".join(factors)
-            joiner = "*"
+        factors = [beta] if be == 1 else [beta_pow % be] if be > 1 else []
+        for sym, exps in ((xsym, xe), (ysym, ye)):
+            part = parts.get((sym, exps))
+            if part is None:
+                part = parts[(sym, exps)] = joiner.join(
+                    var % (sym, i) if e == 1 else var_pow % (sym, i, e)
+                    for i, e in enumerate(exps, start=1) if e > 0
+                )
+            if part:
+                factors.append(part)
         mag = abs(c)
         if mag != 1 or not factors:
-            body = str(mag) + (joiner + body if body else "")
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + body)
+            factors.insert(0, str(mag))
+        if pieces:
+            pieces.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            pieces.append("-")
+        pieces.append(joiner.join(factors))
     return "".join(pieces) if pieces else "0"
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import betapoly, dlclass, fgl, perm
-from .flagring import FlagRingElement, schubert_expand, staircase_monomials
+from .flagring import FlagRingElement, staircase_monomials
 from .poly import BetaPolynomial
 
 DEFAULT_QS = (2, 3, 5)
@@ -121,6 +121,33 @@ def fgl_suite(n: int = 4, rng_seed: int = 20240811) -> list[CheckResult]:
     return out
 
 
+def coefficient_survey(n: int, q: int) -> dict:
+    """The Schubert expansions of the Chow classes of all X(w), w in
+    S_n, at q: the number of classes, their average support, every
+    negative coefficient as (w, v, c), and the largest |c| as
+    (|c|, w, v)."""
+    negatives = []
+    biggest = (0, None, None)
+    support = 0
+    classes = 0
+    for w in perm.all_permutations(n):
+        coeffs = dlclass.dl_class_ch(w, n, q).expansion.coefficients
+        classes += 1
+        support += len(coeffs)
+        for v, scalar in coeffs.items():
+            c = scalar.get(0, 0)
+            if c < 0:
+                negatives.append((w, v, c))
+            if abs(c) > biggest[0]:
+                biggest = (abs(c), w, v)
+    return {
+        "classes": classes,
+        "avg_support": support / classes,
+        "negatives": negatives,
+        "biggest": biggest,
+    }
+
+
 def pointcount_suite(ns=(2, 3), qs=DEFAULT_QS) -> list[CheckResult]:
     """Chow class of the identity must have point coefficient equal to
     the number of rational flags, the q-factorial."""
@@ -133,16 +160,11 @@ def pointcount_suite(ns=(2, 3), qs=DEFAULT_QS) -> list[CheckResult]:
             want = dlclass.flag_count_oracle(n, q)
             # empirical observation, not a contract: beta=0 expansion
             # coefficients of DL classes look nonnegative; log only
-            warn = []
-            for w in perm.all_permutations(n):
-                coeffs = dlclass.dl_class_ch(w, n, q).expansion.coefficients
-                for v, scalar in coeffs.items():
-                    if any(c < 0 for c in scalar.values()):
-                        warn.append(
-                            f"negative coefficient at "
-                            f"{perm.format_permutation(v)} in the class of "
-                            f"{perm.format_permutation(w)}"
-                        )
+            warn = [
+                f"negative coefficient at {perm.format_permutation(v)} "
+                f"in the class of {perm.format_permutation(w)}"
+                for w, v, _ in coefficient_survey(n, q)["negatives"]
+            ]
             out.append(
                 CheckResult(
                     f"pointcount/n{n}/q{q}",

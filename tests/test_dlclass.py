@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import warnings
+import weakref
 
 import pytest
 
@@ -272,6 +274,19 @@ def test_ck_element_follows_the_family_entry():
         assert _ck_element(w, n, q) == expected
     finally:
         betapoly.prime_cache(v, n, member)
+    assert _ck_element(w, n, q) == expected
+
+
+def test_pair_forms_do_not_keep_dropped_members():
+    # the pair form memo must not keep alive a member that the family
+    # cache dropped, and must rebuild from the new member
+    w, n, q = (2, 1, 3, 4), 4, 5
+    v = perm.compose(w, perm.longest_element(n))
+    expected = _ck_element(w, n, q)
+    old = weakref.ref(betapoly.double_beta_polynomial(v, n))
+    betapoly.clear_cache()
+    gc.collect()
+    assert old() is None
     assert _ck_element(w, n, q) == expected
 
 

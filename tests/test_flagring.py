@@ -3,6 +3,8 @@ import json
 import math
 import random
 
+import hypothesis as h
+import hypothesis.strategies as st
 import pytest
 
 from dlschubert import betapoly, clear_caches, dlclass, fgl, flagring, perm
@@ -134,9 +136,84 @@ def test_multiplication_preserves_grading():
     assert prod.to_polynomial().graded_degree() == 2
 
 
+def staircase_elements(n, count):
+    """count random elements of the ring on n generators."""
+    term = st.tuples(st.sampled_from(staircase_monomials(n)), st.integers(0, 2))
+    element = st.dictionaries(term, st.integers(-9, 9), max_size=5).map(
+        lambda d: F(n, d)
+    )
+    return st.tuples(*[element] * count)
+
+
+def same_ring_elements(count):
+    return st.integers(1, 4).flatmap(lambda n: staircase_elements(n, count))
+
+
+@h.given(same_ring_elements(3))
+def test_element_ring_axioms(elements):
+    p, q, r = elements
+    n = p.n
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + F.zero(n) == p
+    assert p * F.one(n) == p
+    assert p - p == F.zero(n)
+    assert p * F.zero(n) == F.zero(n)
+    assert -(p - q) == q - p
+
+
+@h.given(same_ring_elements(1))
+def test_element_int_coercion(elements):
+    (a,) = elements
+    three = F.from_int(a.n, 3)
+    assert 3 + a == three + a
+    assert a + 3 == a + three
+    assert a - 3 == a - three
+    assert 3 - a == three - a
+    assert a * 2 == a + a
+    assert 1 * a == a
+    assert (a == 3) == (a.terms() == {((0,) * a.n, 0): 3})
+    assert three == 3
+    assert (three + a - a) == 3
+
+
+@h.given(same_ring_elements(1), st.integers(0, 4))
+def test_element_pow(elements, e):
+    (a,) = elements
+    expected = F.one(a.n)
+    for _ in range(e):
+        expected = expected * a
+    assert a**e == expected
+    assert a**0 == F.one(a.n) == 1
+    with pytest.raises(ValueError):
+        a ** -1
+
+
+@h.given(same_ring_elements(1), st.integers(-3, 3))
+def test_element_specialize_beta_cancels(elements, value):
+    (a,) = elements
+    # a and its specialization agree at beta = value, so their
+    # difference specializes to zero with no zero terms left behind
+    diff = (a - a.specialize_beta(value)).specialize_beta(value)
+    assert diff.is_zero and diff.terms() == {}
+    assert a.specialize_beta(value) == a.specialize_beta(value).specialize_beta(0)
+    m = staircase_monomials(a.n)[-1]
+    cancel = F(a.n, {(m, 1): 2, (m, 0): -4})
+    assert cancel.specialize_beta(2).terms() == {}
+
+
 def test_ring_size_mismatch():
     with pytest.raises(ValueError):
         F.one(2) + F.one(3)
+    with pytest.raises(ValueError):
+        F.one(2) - F.one(3)
+    with pytest.raises(ValueError):
+        F.x_gen(3, 1) * F.x_gen(2, 1)
+    assert F.one(2) != F.one(3)
+    assert not F.zero(2) == F.zero(3)
     with pytest.raises(ValueError):
         F.x_gen(2, 3)
 
