@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 structurally valid but inadmissible parameters, 4 the computation
 failed (an arithmetic error such as a singular Schubert transition
 block, or the interpreter ran out of recursion depth or memory).
+Each engine warning is one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
-from . import betapoly, dlclass, perm, poly, verify
+from . import betapoly, dlclass, perm, poly
 from .cache import ENV_CACHE_DIR, PolynomialCache
 
 FAMILY = "double-beta"
@@ -88,7 +90,10 @@ def cmd_dlclass(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suites([args.suite], n=args.n, qs=args.q)
+    from . import verify  # only this subcommand needs the suites
+
+    qs = verify.DEFAULT_QS if args.q is None else args.q
+    results = verify.run_suites([args.suite], n=args.n, qs=qs)
     failures = [r for r in results if not r.passed]
     if args.format == "json":
         print(
@@ -181,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("braid", "specialize", "fgl", "pointcount", "stability", "all"),
     )
     pv.add_argument("--n", type=int, default=4)
-    pv.add_argument("--q", type=_qs_list, default=verify.DEFAULT_QS,
+    pv.add_argument("--q", type=_qs_list, default=None,
                     help="comma separated, e.g. 2,3,5")
     pv.add_argument("--format", choices=("plain", "json"), default="plain")
     pv.set_defaults(func=cmd_verify)
@@ -194,12 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # an engine warning is one line on stderr, with no source path in it
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except CLIError as exc:
@@ -215,6 +226,8 @@ def main(argv=None) -> int:
         print(f"error: computation failed ({type(exc).__name__}) {exc}".rstrip(),
               file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def entry() -> None:

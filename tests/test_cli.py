@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dlschubert import betapoly, cli
+import dlschubert
+from dlschubert import betapoly, cli, perm
 from dlschubert.cache import ENV_CACHE_DIR, CacheWarning, PolynomialCache
 from dlschubert.flagring import SingularTransitionError
 from dlschubert.verify import CheckResult
@@ -183,7 +189,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake(names, n=4, qs=()):
         return [CheckResult("rigged", False, "boom")]
 
-    monkeypatch.setattr(cli.verify, "run_suites", fake)
+    monkeypatch.setattr("dlschubert.verify.run_suites", fake)
     code, out, _ = run_cli(capsys, "verify", "braid")
     assert code == 1
     assert "FAIL rigged: boom" in out
@@ -224,7 +230,7 @@ def test_cache_cold_then_warm(capsys, tmp_path):
     entry = tmp_path / "cache" / "double-beta_n3_w3-1-2.json"
     assert entry.exists()
     data = json.loads(entry.read_text())
-    assert data["version"] == 1
+    assert data["version"] == 2
     assert data["w"] == "[3,1,2]"
     assert "checksum" in data
     code, warm, _ = run_cli(capsys, *args)
@@ -261,7 +267,7 @@ def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
     _, clean, _ = run_cli(capsys, *args)
     entry = tmp_path / "double-beta_n2_w2-1.json"
     data = json.loads(entry.read_text())
-    data["terms"][0]["coeff"] = "999"
+    data["terms"] = data["terms"].replace("1]", "9]", 1)
     entry.write_text(json.dumps(data))
     with pytest.warns(CacheWarning):
         code, out, _ = run_cli(capsys, *args)
@@ -300,6 +306,162 @@ def test_cache_entry_of_another_permutation_recovers(capsys, tmp_path):
     # the bad entry was replaced by the right one
     assert PolynomialCache(tmp_path).get("double-beta", (2, 1, 3), 3) == (
         betapoly.double_beta_polynomial((2, 1, 3))
+    )
+
+
+# a format-1 entry for [2,1], as format 1 stored it
+FORMAT_1_ENTRY = (
+    '{"checksum":"92f2ba61456aba0c8aa12088cf30845b1ad2b68a3d3df0d2469abbff3c19e58e",'
+    '"family":"double-beta","n":2,"terms":[{"beta":0,"coeff":"1","x":[1],"y":[]},'
+    '{"beta":0,"coeff":"1","x":[],"y":[1]},{"beta":1,"coeff":"1","x":[1],"y":[1]}],'
+    '"version":1,"w":"[2,1]"}'
+)
+
+
+def test_cache_format_1_entry_is_rewritten(capsys, tmp_path):
+    _, clean, _ = run_cli(capsys, "betapoly", "--w", "[2,1]")
+    entry = tmp_path / "double-beta_n2_w2-1.json"
+    entry.write_text(FORMAT_1_ENTRY)
+    with pytest.warns(CacheWarning, match="stale or corrupt"):
+        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1]",
+                               "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == clean
+    data = json.loads(entry.read_text())
+    assert data["version"] == 2
+    assert isinstance(data["terms"], str)
+    assert PolynomialCache(tmp_path).get("double-beta", (2, 1), 2) == (
+        betapoly.double_beta_polynomial((2, 1))
+    )
+
+
+def test_cache_undecodable_entry_recovers(capsys, tmp_path):
+    _, clean, _ = run_cli(capsys, "betapoly", "--w", "[2,1]")
+    (tmp_path / "double-beta_n2_w2-1.json").write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.warns(CacheWarning, match="unreadable"):
+        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1]",
+                               "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == clean
+
+
+def test_cache_checksum_covers_every_terms_character(tmp_path):
+    w = (3, 1, 2)
+    store = PolynomialCache(tmp_path)
+    store.put("double-beta", w, 3, betapoly.double_beta_polynomial(w))
+    entry = store._path("double-beta", w, 3)
+    data = json.loads(entry.read_text())
+    terms = data["terms"]
+    for i, ch in enumerate(terms):
+        data["terms"] = terms[:i] + ("1" if ch == "0" else "0") + terms[i + 1:]
+        entry.write_text(json.dumps(data))
+        with pytest.warns(CacheWarning, match="stale or corrupt"):
+            assert store.get("double-beta", w, 3) is None
+
+
+@pytest.mark.parametrize("terms", [
+    "[[0,[1],[],1.0]]",         # float coefficient
+    '[[0,[1],[],"1"]]',         # string coefficient
+    "[[true,[1],[],1]]",        # boolean beta exponent
+    "[[0,[true],[],1]]",        # boolean x exponent
+    "[[0,[1],[0.5],1]]",        # float y exponent
+    "[[0,[1],[]]]",             # short row
+    "[[0,[1],[],1,1]]",         # long row
+    "[[[0],[1],[],1]]",         # list beta exponent
+    "[[0,1,[],1]]",             # int in place of an exponent list
+    "[[0,[[1]],[],1]]",         # nested exponent list
+    "[1]",                      # not a list of rows
+    "[[0,[1],[],1]",            # truncated
+    "\ud800",                   # lone surrogate
+])
+def test_cache_malformed_rows_recover(capsys, tmp_path, terms):
+    _, clean, _ = run_cli(capsys, "betapoly", "--w", "[2,1]")
+    data = json.loads(FORMAT_1_ENTRY)
+    data.update(
+        version=2, terms=terms,
+        checksum=hashlib.sha256(terms.encode("utf-8", "surrogatepass")).hexdigest(),
+    )
+    entry = tmp_path / "double-beta_n2_w2-1.json"
+    entry.write_text(json.dumps(data))
+    with pytest.warns(CacheWarning, match="malformed"):
+        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1]",
+                               "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == clean
+    assert json.loads(entry.read_text())["terms"] == "[[0,[1],[],1],[0,[],[1],1],[1,[1],[1],1]]"
+
+
+def test_cache_rows_strip_trailing_zero_exponents(tmp_path):
+    terms = "[[0,[1,0],[0],1],[0,[],[1,0,0],1],[1,[1],[1],1]]"
+    data = json.loads(FORMAT_1_ENTRY)
+    data.update(version=2, terms=terms,
+                checksum=hashlib.sha256(terms.encode("utf-8")).hexdigest())
+    (tmp_path / "double-beta_n2_w2-1.json").write_text(json.dumps(data))
+    hit = PolynomialCache(tmp_path).get("double-beta", (2, 1), 2)
+    assert hit.terms() == betapoly.double_beta_polynomial((2, 1)).terms()
+
+
+# the permutations the cli-cache-s5 benchmark workload requests
+CACHE_S5_POOL = [
+    (2, 1, 5, 3, 4), (2, 5, 3, 1, 4), (3, 1, 5, 4, 2), (4, 5, 2, 1, 3),
+    (4, 5, 1, 3, 2), (5, 3, 4, 1, 2), (5, 4, 1, 3, 2), (1, 2, 3, 4, 5),
+]
+
+
+def test_cache_round_trip_keeps_terms_and_order(tmp_path):
+    store = PolynomialCache(tmp_path)
+    members = [(w, len(w)) for n in (2, 3, 4) for w in perm.all_permutations(n)]
+    members += [(w, 5) for w in CACHE_S5_POOL]
+    for w, n in members:
+        value = betapoly.double_beta_polynomial(w, n)
+        store.put("double-beta", w, n, value)
+        hit = store.get("double-beta", w, n)
+        assert hit == value
+        assert list(hit.terms().items()) == list(value.terms().items())
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+def test_cache_hit_prints_like_a_miss(capsys, tmp_path, fmt):
+    runs = [(w, extra) for w in ("[1,2,3,4]", "[2,1,4,3]", "[4,1,3,2]", "[4,3,2,1]")
+            for extra in ((), ("--single",), ("--beta", "-1"))]
+    for i, (w, extra) in enumerate(runs):
+        args = ("betapoly", "--w", w, "--format", fmt, *extra)
+        _, clean, _ = run_cli(capsys, *args)
+        cache_dir = str(tmp_path / str(i))
+        _, miss, _ = run_cli(capsys, *args, "--cache-dir", cache_dir)
+        _, hit, _ = run_cli(capsys, *args, "--cache-dir", cache_dir)
+        assert clean == miss == hit
+
+
+def _python(*args):
+    """Run python with args in a fresh process that imports this dlschubert."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dlschubert.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _cli_process(*args):
+    return _python("-m", "dlschubert.cli", *args)
+
+
+def test_cli_does_not_import_verify():
+    code = "import sys, dlschubert.cli; sys.exit('dlschubert.verify' in sys.modules)"
+    assert _python("-c", code).returncode == 0
+
+
+def test_warning_is_one_stderr_line():
+    done = _cli_process("dlclass", "--w", "[1,2]", "--q", "6")
+    assert done.returncode == 0
+    assert done.stdout == "-7*x2\n"
+    assert done.stderr == "warning: q=6 is not a prime power; no Frobenius realizes it\n"
+
+
+def test_cache_discard_is_one_stderr_line(tmp_path):
+    (tmp_path / "double-beta_n2_w2-1.json").write_text(FORMAT_1_ENTRY)
+    done = _cli_process("betapoly", "--w", "[2,1]", "--cache-dir", str(tmp_path))
+    assert done.returncode == 0
+    assert done.stdout == "x1 + y1 + beta*x1*y1\n"
+    assert done.stderr == (
+        "warning: discarding stale or corrupt cache entry double-beta_n2_w2-1.json\n"
     )
 
 
