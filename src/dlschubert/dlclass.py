@@ -18,15 +18,19 @@ The substitution is a ring map, hence linear on the family, and all
 members of S_n together use at most n!^2 distinct monomials.  So the
 image of a monomial, the product of the tables of its n pairs in normal
 form, is built once per (n, q, monomial) and memoized as a flat tuple of
-(staircase slot, coeff) pairs.  It is built from the memoized image of
-the same monomial without its last pair, times that pair's table; for
-the pair of x_n this needs no reduction at all (x_n^n = 0), so most
-images cost a few shifted copies of a shorter one.  A class is the
-sparse sum c * beta^e * image over the terms of the
+(staircase slot, coeff) pairs.  One recursive builder makes it: the
+image of the same monomial without its last pair, times that pair's
+table, by one product kernel that shifts slots while a product stays in
+the staircase and reads the others from a q-independent memo of reduced
+products.  At x-degree n(n-1)/2 only the lowest entry q^a (-1)^b
+t^(a+b) of each pair table counts (the others pass the top degree), so
+the image is q^|a| (-1)^|b| times the reduced monomial x^(a+b), a
+multiple of the class of a point that the same builder makes once per
+n.  A class is the sparse sum c * beta^e * image over the terms of the
 member of w.w0, read from a memoized "pair form" of that member; the
-sum of reduced images is
-already in normal form, so no class is reduced as a whole.  The images
-are the engine's largest memo; flagring.clear_caches() empties them.
+sum of reduced images is already in normal form, so no class is
+reduced as a whole.  The images are the engine's largest memo;
+flagring.clear_caches() empties them.
 The family itself is built in the free ring first: the formal inverse
 exists only in the quotient ring, so the x-arguments must never be
 reduced while it is being assembled.
@@ -43,6 +47,7 @@ from __future__ import annotations
 import functools
 import warnings
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import factorial, isqrt, prod
 
@@ -121,8 +126,14 @@ class DLResult:
 
 # Images of the substitution, one per (n, q, monomial), reduced once:
 # _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff, slot, coeff,
-# ..) where slot = staircase index << _BETA_BITS | beta exponent.
+# ..) where slot = staircase index << _BETA_BITS | beta exponent; with
+# a code below x-degree n(n-1)/2 it holds the base _build made it from.
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+# _LOWEST[n][pair code] = the reduced monomial x^a of a code with pairs
+# (a_i, 0), in the same flat form, with the bases _build made it from;
+# it does not depend on q.  For a code of x-degree n(n-1)/2 it is a
+# multiple of the class of a point.
+_LOWEST: dict[int, dict[int, tuple[int, ...]]] = {}
 # _PAIR_FORMS[(n, v)] = (weak reference to the family member of v, its
 # pair form); it notices a replaced or rebuilt member without keeping a
 # member alive that betapoly.clear_cache() dropped
@@ -151,19 +162,6 @@ def _index(m: tuple[int, ...]) -> int:
     for i, mi in enumerate(m):  # the exponent of x_{i+1} has radix i + 1
         index = index * (i + 1) + mi
     return index
-
-
-def _split(n: int, code: int) -> tuple[int, int, int]:
-    """(base, pair, j) for a nonzero pair code: pair j (0-based) is its
-    last pair that is not (0, 0), and the base is the code with that
-    pair set to (0, 0)."""
-    nn = n * n
-    place, j, p = 1, n - 1, code % nn
-    while not p:
-        place *= nn
-        j -= 1
-        p = code // place % nn
-    return code - p * place, p, j
 
 
 def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
@@ -201,140 +199,137 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
     return packed
 
 
-def _times_row(
-    n: int, k: tuple[int, ...], j: int, d: int, local: int
-) -> tuple[tuple[int, int], ...]:
-    """Normal form of x^k * x_{j+1}^d as ((slot shift, coeff), ..) at
-    beta exponent 0, for x^k in state `local` (see _TIMES)."""
+@functools.lru_cache(maxsize=None)
+def _layout(n: int, j: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(step, rows) for multiplying by powers of x_{j+1} in S_n.
+
+    step is the slot shift of one more power of x_{j+1}.  rows[index] =
+    (room, most, key) for the staircase monomial x^k of that index: the
+    product x^k * x_{j+1}^d is the staircase monomial d * step slots on
+    while d <= room = j - k_j, and 0 once d > most, because its x-degree
+    passes n(n-1)/2 (or, for j = n - 1, x_n^n = 0); in between it is
+    the _TIMES row key + d.
+    """
+    top = n * (n - 1) // 2
+    states = factorial(n) // factorial(j)  # of the exponents of x_{j+1}, ..
+    rows = []
+    for index, k in enumerate(staircase_monomials(n)):
+        room, most = j - k[j], top - sum(k)
+        if j == n - 1:
+            most = min(most, room)
+        rows.append((room, most, (index % states * n + j) * n))
+    return factorial(n) // factorial(j + 1) << _BETA_BITS, tuple(rows)
+
+
+def _times_row(n: int, j: int, index: int, d: int) -> tuple[tuple[int, int], ...]:
+    """Normal form of x^k * x_{j+1}^d, for the staircase monomial x^k of
+    that index, as ((slot shift, coeff), ..) at beta exponent 0."""
+    k = staircase_monomials(n)[index]
+    local = index % (factorial(n) // factorial(j))
     e = (0,) * j + (k[j] + d,) + k[j + 1 :]
     return tuple(
         ((_index(m) - local) << _BETA_BITS, c) for m, c in _reduce_exps(n, e).items()
     )
 
 
-_UNSEEN = (0, 0, 0, -1)  # a code _build_images has not planned yet
+def _times(n: int, flat: tuple[int, ...], j: int, table: fgl.Series) -> tuple[int, ...]:
+    """Normal form of the flat element `flat` times the univariate table
+    `table` ((d, beta exponent, coeff), .. by ascending d) at t = x_{j+1},
+    as a flat (slot, coeff, ..) tuple."""
+    step, rows = _layout(n, j)
+    times = _TIMES.setdefault(n, {})
+    out: dict[int, int] = {}
+    get = out.get
+    pairs = iter(flat)
+    for slot, c in zip(pairs, pairs):
+        room, most, key = rows[slot >> _BETA_BITS]
+        for d, tb, tc in table:
+            if d > most:
+                break
+            if d <= room:
+                s = slot + d * step + tb
+                out[s] = get(s, 0) + c * tc
+                continue
+            row = times.get(key + d)
+            if row is None:
+                row = times[key + d] = _times_row(n, j, slot >> _BETA_BITS, d)
+            slot2, c2 = slot + tb, c * tc
+            for shift, rc in row:
+                s = slot2 + shift
+                out[s] = get(s, 0) + c2 * rc
+    slots = _slots(n)
+    product: list[int] = []
+    for s, c in out.items():
+        if c:
+            product += (slots.setdefault(s, s), c)
+    return tuple(product)
 
 
-def _build_images(
-    n: int, q: int, form: tuple[int, ...], images: dict[int, tuple[int, ...]]
-) -> None:
-    """Add to `images`, the memo of (n, q) (which holds the image of
-    code 0, the monomial 1), the reduced image of every pair code of the
-    pair form `form` that it lacks, each as a flat (slot, coeff, ..)
-    tuple.
+def _build(
+    n: int, code: int, memo: dict[int, tuple[int, ...]], table: Callable[..., fgl.Series]
+) -> tuple[int, ...]:
+    """The image of a nonzero pair code, memoized in `memo` (which holds
+    the image of code 0) with the images of the bases it is built from.
 
-    The image of a code is that of its base, the code with its last
-    pair that is not (0, 0), pair j, set to (0, 0), times the table of
-    pair j in x_j.  x^k * x_j^d changes only k_j, .., k_n, and stays a
-    staircase monomial while k_j + d <= j - 1.  For the last pair that
-    is all: x_n^n = 0, so x^k * x_n^d is x^(k + d e_n) or 0, and no
-    image reduces anything there.  Earlier pairs look up the products
-    that do leave the staircase in _TIMES.
-
-    Missing bases are built too, and kept, since the members of S_n use
-    them as codes; but a code of x-degree n(n-1)/2 has a single term,
-    a multiple of the class of a point, so the bases it needs alone are
-    built only up to the x-degree it can use and not kept.  Every code
-    of the top member, the one a single query for the identity reads,
-    is such a code.
+    It is the image of the base, the code with its last pair (a, b) that
+    is not (0, 0), pair j, set to (0, 0), times table(a, b) at x_{j+1}.
     """
     nn = n * n
-    top = n * (n - 1) // 2
-    # code -> (base, pair, j, the x-degree up to which it is built)
-    todo: dict[int, tuple[int, int, int, int]] = {}
-    for code in form[::3]:
-        if code in images or todo.get(code, _UNSEEN)[3] == top:
-            continue
-        degree, c = 0, code
-        while c:
-            c, digit = divmod(c, nn)
-            degree += digit // n + digit % n
-        cap = top
-        while code not in images and todo.get(code, _UNSEEN)[3] < cap:
-            rest, p, j = _split(n, code)
-            todo[code] = (rest, p, j, cap)
-            if degree < top:  # bases in full
-                code = rest
-            else:
-                code, cap = rest, cap - p // n - p % n
-    mons = staircase_monomials(n)
-    degrees = [sum(m) for m in mons]
-    times = _TIMES.setdefault(n, {})
-    slots = _slots(n)
-    # slot step of one more power of x_{j+1}, and the number of states
-    # of the exponents of x_{j+1}, .., x_n
-    steps = [factorial(n) // factorial(j + 1) << _BETA_BITS for j in range(n)]
-    states = [factorial(n) // factorial(j) for j in range(n)]
-    part: dict[int, tuple[int, ...]] = {}  # bases built below top
-    for code in sorted(todo):  # a base sorts before the codes built on it
-        rest, p, j, cap = todo[code]
-        table = fgl.pair_table(n, q, p // n, p % n)
-        out: dict[int, int] = {}
-        get = out.get
-        base = images.get(rest)
-        pairs = iter(base if base is not None else part[rest])
-        # the table lists its entries by ascending power of t, and none
-        # may take the x-degree past cap
-        if j == n - 1:
-            for slot, c in zip(pairs, pairs):
-                index = slot >> _BETA_BITS
-                room = n - 1 - index % n  # free powers of x_n
-                if cap - degrees[index] < room:
-                    room = cap - degrees[index]
-                for d, tb, tc in table:
-                    if d > room:
-                        break
-                    s = slot + (d << _BETA_BITS) + tb
-                    out[s] = get(s, 0) + c * tc
-        else:
-            step, radix = steps[j], states[j]
-            for slot, c in zip(pairs, pairs):
-                index = slot >> _BETA_BITS
-                k = mons[index]
-                room = j - k[j]
-                local = index % radix
-                most = cap - degrees[index]
-                for d, tb, tc in table:
-                    if d > most:
-                        break
-                    if d <= room:
-                        s = slot + d * step + tb
-                        out[s] = get(s, 0) + c * tc
-                        continue
-                    key = (local * n + j) * n + d
-                    row = times.get(key)
-                    if row is None:
-                        row = times[key] = _times_row(n, k, j, d, local)
-                    slot2 = slot + tb
-                    c2 = c * tc
-                    for shift, rc in row:
-                        s = slot2 + shift
-                        out[s] = get(s, 0) + c2 * rc
-        flat: list[int] = []
-        for s, c in out.items():
-            if c:
-                flat += (slots.setdefault(s, s), c)
-        if cap == top:
-            images[code] = tuple(flat)
-        else:
-            part[code] = tuple(flat)
+    place, j = 1, n - 1
+    while not code // place % nn:
+        place, j = place * nn, j - 1
+    pair = code // place % nn
+    base = code - pair * place
+    flat = memo.get(base)
+    if flat is None:
+        flat = _build(n, base, memo, table)
+    image = memo[code] = _times(n, flat, j, table(pair // n, pair % n))
+    return image
+
+
+def _point_image(n: int, q: int, code: int) -> tuple[int, ...] | None:
+    """The image of a pair code of x-degree n(n-1)/2, or None if the
+    code's x-degree is lower: only the lowest entry q^a (-1)^b t^(a+b)
+    of each pair table stays within the top degree, so the image is
+    q^|a| (-1)^|b| times the reduced monomial x^(a+b)."""
+    sa = sb = low = 0  # low: the code of x^(a+b), pairs (a_i + b_i, 0)
+    rest, place = code, n
+    while rest:
+        rest, pair = divmod(rest, n * n)
+        a, b = divmod(pair, n)
+        sa, sb, low, place = sa + a, sb + b, low + (a + b) * place, place * n * n
+    if sa + sb < n * (n - 1) // 2:
+        return None
+    lowest = _LOWEST.setdefault(n, {0: (0, 1)})
+    flat = lowest.get(low)
+    if flat is None:  # by the tables t^a of the pairs (a, 0)
+        flat = _build(n, low, lowest, lambda a, b: ((a, 0, 1),))
+    scale = -(q**sa) if sb % 2 else q**sa
+    pairs = iter(flat)
+    return tuple(x for slot, c in zip(pairs, pairs) for x in (slot, c * scale))
 
 
 def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
     """The CK class as sum c * beta^e * image(pairs) over the terms of
     the family member of w.w0; the images are in normal form already."""
-    form = _pair_form(perm.compose(w, perm.longest_element(n)), n)
+    v = perm.compose(w, perm.longest_element(n))
+    form = _pair_form(v, n)
     images = _IMAGES.get((n, q))
     if images is None:
         images = _IMAGES[(n, q)] = {0: (0, 1)}
+    # a term of the member, homogeneous of degree length(v), has x-degree
+    # n(n-1)/2 iff its beta exponent is `point`; a primed member need not
+    # be homogeneous, so _point_image checks the code as well
+    point = n * (n - 1) // 2 - perm.length(v)
     acc: dict[int, int] = {}
     get = acc.get
     it = iter(form)
     for code, be, c in zip(it, it, it):
         image = images.get(code)
         if image is None:
-            _build_images(n, q, form, images)
-            image = images[code]
+            if be != point or (image := _point_image(n, q, code)) is None:
+                image = _build(n, code, images, functools.partial(fgl.pair_table, n, q))
+            images[code] = image
         pairs = iter(image)
         for slot, ic in zip(pairs, pairs):
             slot += be

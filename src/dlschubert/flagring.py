@@ -358,15 +358,17 @@ def clear_caches() -> None:
     classes, transition blocks, the double beta-polynomial family, the
     substitution tables of the formal group law, and the reduced
     Deligne-Lusztig monomial images with the pair forms of the family
-    members they are summed over and the staircase products they are
-    built from.
+    members they are summed over, the reduced monomials of the point
+    images, the staircase products and product layouts they are built
+    from, and the slots they store.
 
     None of these is bounded.  The images grow with every (n, q) asked
     for: all 120 classes of S_5 at three q leave about 24.5 k images
     with about 175 k entries, and the pair forms of the 120 members
-    about 112 k terms (the staircase products, 181 of them, do not grow
-    with q); such a process peaks at about 45 MB resident, against
-    about 32 MB when every class was expanded term by term.
+    about 112 k terms; the reduced monomials (746), staircase products
+    (181), layouts (5) and slots (482) do not grow with q.  Such a
+    process peaks at about 45 MB resident, against about 32 MB when
+    every class was expanded term by term.
     """
     from . import dlclass, fgl  # imported here: both import this module
 
@@ -377,8 +379,11 @@ def clear_caches() -> None:
     betapoly.clear_cache()
     betapoly.top_beta_polynomial.cache_clear()
     dlclass._IMAGES.clear()
+    dlclass._LOWEST.clear()
     dlclass._PAIR_FORMS.clear()
     dlclass._TIMES.clear()
+    dlclass._layout.cache_clear()
+    dlclass._slots.cache_clear()
 
 
 @dataclass

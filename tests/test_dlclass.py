@@ -246,6 +246,22 @@ def test_ck_element_matches_table_expansion_s5():
             assert _ck_element(w, 5, q) == _ck_element_by_tables(w, 5, q), (w, q)
 
 
+def test_ck_element_reads_inhomogeneous_members():
+    # in a homogeneous member a term's beta exponent tells whether its
+    # x-degree is n(n-1)/2; in a primed member that is not homogeneous it
+    # does not, so the image of a lower code must not be read as a point
+    for n, q in ((3, 2), (3, 5), (4, 3)):
+        for w in perm.all_permutations(n):
+            clear_caches()
+            v = perm.compose(w, perm.longest_element(n))
+            member = betapoly.double_beta_polynomial(v, n)
+            try:  # the beta terms come first in the member's term order
+                betapoly.prime_cache(v, n, poly.BetaPolynomial.beta() * member + member)
+                assert _ck_element(w, n, q) == _ck_element_by_tables(w, n, q), (w, q)
+            finally:
+                betapoly.prime_cache(v, n, member)
+
+
 def test_ck_element_does_not_depend_on_memo_history():
     ws, qs = sorted(perm.all_permutations(4)), (2, 3, 7)
     forward = [(w, q) for q in qs for w in ws]

@@ -327,17 +327,21 @@ def test_clear_caches():
     table = fgl.pair_table(3, 5, 1, 1)
     element = dlclass._ck_element((1, 2, 3), 3, 5)
     assert dlclass._IMAGES and dlclass._PAIR_FORMS and dlclass._TIMES
+    assert dlclass._LOWEST and dlclass._slots(3)
     clear_caches()
     assert not flagring._REDUCE_MEMO
     assert not betapoly._FAMILY
     assert not dlclass._IMAGES
     assert not dlclass._PAIR_FORMS
     assert not dlclass._TIMES
+    assert not dlclass._LOWEST
     for cached in (
         schubert_class,
         _transition_blocks,
         betapoly.top_beta_polynomial,
         fgl.pair_table,
+        dlclass._slots,
+        dlclass._layout,
     ):
         assert cached.cache_info().currsize == 0
     assert fgl.pair_table(3, 5, 1, 1) == table
