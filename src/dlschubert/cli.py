@@ -6,8 +6,8 @@ verify (consistency suites), cache (on-disk cache management).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 structurally valid but inadmissible parameters, 4 the computation
-failed (an arithmetic error such as a singular Schubert transition
-block, or the interpreter ran out of recursion depth or memory).
+failed (an arithmetic error such as a Schubert basis without unit
+leads, or the interpreter ran out of recursion depth or memory).
 Each engine warning is one ``warning: <message>`` line on stderr.
 """
 

@@ -24,10 +24,11 @@ applies the beta-sign-flipped divided difference phi_i to a staircase
 representative and reduces.  phi_i is linear over symmetric
 polynomials, so it maps the ideal into itself and the result is the
 normal form of the beta-sign-flipped double beta polynomial of w with
-all y set to 0.  Expansion in this basis is block triangular by
-degree; each diagonal block becomes unitriangular with pivots +-1
-after permuting its rows and columns, so coordinates follow by integer
-back-substitution.
+all y set to 0.  The lead of a class, the lex-largest monomial of its
+x-degree length(w) part, has coefficient +-1 and differs for each w
+(_leads checks both).  Ordered by degree and then by descending lead,
+the classes are unitriangular against their leads, so expansion is one
+pass of integer subtractions.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ BetaScalar = dict[int, int]
 
 
 class SingularTransitionError(ArithmeticError):
-    """A Schubert-class transition block is not unitriangular."""
+    """The Schubert classes are not unitriangular against their leads."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,76 +292,43 @@ def schubert_class(w: perm.Permutation, n: int | None = None) -> FlagRingElement
     return normal_form(betapoly.divided_difference(i, rep).flip_beta_sign(), n)
 
 
-def _pivot_steps(mat: list[list[int]]) -> list[tuple]:
-    """An order that solves the square integer system mat.x = b.
-
-    Step (r, c, pivot, rest) solves x_c from row r, whose entry in
-    column c is pivot = +-1 and whose other nonzero entries, rest =
-    ((j, a), ..), sit in columns solved by earlier steps.  Such an order
-    exists exactly when permuting rows and columns makes mat triangular
-    with diagonal +-1; otherwise SingularTransitionError is raised.
-    """
-    rows = list(range(len(mat)))
-    solved: set[int] = set()
-    steps = []
-    while rows:
-        for r in rows:
-            live = [c for c, a in enumerate(mat[r]) if a and c not in solved]
-            if len(live) == 1:
-                break
-        else:
-            raise SingularTransitionError("transition block is not triangular")
-        c = live[0]
-        pivot = mat[r][c]
-        if pivot not in (1, -1):
-            raise SingularTransitionError(f"transition block has pivot {pivot}")
-        rest = tuple((j, a) for j, a in enumerate(mat[r]) if a and j != c)
-        steps.append((r, c, pivot, rest))
-        rows.remove(r)
-        solved.add(c)
-    return steps
-
-
-def _back_substitute(steps: list[tuple], rhs: list[BetaScalar]) -> list[BetaScalar]:
-    """The solution of mat.x = rhs over ZZ[beta], steps from _pivot_steps(mat)."""
-    x: list[BetaScalar] = [{} for _ in steps]
-    for r, c, pivot, rest in steps:
-        acc = dict(rhs[r])
-        for j, a in rest:
-            for be, v in x[j].items():
-                acc[be] = acc.get(be, 0) - a * v
-        x[c] = {be: pivot * v for be, v in acc.items() if v}
-    return x
-
-
 @functools.lru_cache(maxsize=None)
-def _transition_blocks(n: int):
-    """Per codimension l: (perms of length l, staircase monomials of
-    degree l, pivot steps of the transition matrix).  Entry (mon, w) of
-    the matrix is the integer coefficient of x^mon in schubert_class(w);
-    gradedness puts it at beta exponent 0."""
-    perms = sorted(perm.all_permutations(n), key=lambda w: (perm.length(w), w))
-    blocks = {}
-    for l, group in itertools.groupby(perms, perm.length):
-        ws = list(group)
-        mons = sorted(m for m in staircase_monomials(n) if sum(m) == l)
-        if len(ws) != len(mons):
-            raise SingularTransitionError(
-                f"degree {l}: {len(mons)} monomials vs {len(ws)} classes"
-            )
-        mat = [[schubert_class(w, n).coefficient(mon) for w in ws] for mon in mons]
-        blocks[l] = (ws, mons, _pivot_steps(mat))
-    return blocks
+def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
+    """The Schubert basis as (lead monomial, w, sign) triples, sorted by
+    degree and then by descending lead.
+
+    The lead of w is the lex-largest monomial of the x-degree length(w)
+    part of its class (that part is beta-free by gradedness), and sign is
+    its coefficient.  A class meets no monomial of lower degree and no
+    larger monomial of its own degree, so it is zero at every lead before
+    its own: with unit signs and n! distinct leads the basis change is
+    unitriangular in this order.  Otherwise SingularTransitionError is
+    raised.
+    """
+    found: dict[tuple[int, ...], tuple[perm.Permutation, int]] = {}
+    for w in perm.all_permutations(n):
+        l = perm.length(w)
+        part = {m: c for (m, _), c in schubert_class(w, n)._terms.items() if sum(m) == l}
+        lead = max(part, default=None)
+        sign = part.get(lead, 0)
+        if sign not in (1, -1):
+            raise SingularTransitionError(f"class of {w} has leading coefficient {sign}")
+        if lead in found:
+            raise SingularTransitionError(f"classes of {found[lead][0]} and {w} share a lead")
+        found[lead] = (w, sign)
+    order = sorted(found, key=lambda m: (sum(m), tuple(-e for e in m)))
+    return tuple((m, *found[m]) for m in order)
 
 
 def clear_caches() -> None:
-    """Empty every memo of the engine: monomial reduction, Schubert
-    classes, transition blocks, the double beta-polynomial family, the
-    substitution tables of the formal group law, and the reduced
-    Deligne-Lusztig monomial images with the pair forms of the family
-    members they are summed over, the reduced monomials of the point
-    images, the staircase products and product layouts they are built
-    from, and the slots they store.
+    """Empty every memo of the engine: the staircase monomials and
+    rewriting relations, monomial reduction, Schubert classes and their
+    leads, the double beta-polynomial family, the substitution tables
+    of the formal group law, and the reduced Deligne-Lusztig monomial
+    images with the pair forms of the family members they are summed
+    over, the reduced monomials of the point images, the staircase
+    products and product layouts they are built from, and the slots
+    they store.
 
     None of these is bounded.  The images grow with every (n, q) asked
     for: all 120 classes of S_5 at three q leave about 24.5 k images
@@ -372,10 +340,12 @@ def clear_caches() -> None:
     """
     from . import dlclass, fgl  # imported here: both import this module
 
+    staircase_monomials.cache_clear()
+    _h_exponents.cache_clear()
     _REDUCE_MEMO.clear()
     fgl.pair_table.cache_clear()
     schubert_class.cache_clear()
-    _transition_blocks.cache_clear()
+    _leads.cache_clear()
     betapoly.clear_cache()
     betapoly.top_beta_polynomial.cache_clear()
     dlclass._IMAGES.clear()
@@ -455,35 +425,28 @@ class SchubertExpansion:
 def schubert_expand(a: FlagRingElement) -> SchubertExpansion:
     """Exact coordinates of a in the Schubert-class basis.
 
-    Processes codimension blocks in increasing order; classes of length
-    > d never touch degree-d monomials, so after subtracting the lower
-    blocks the degree-l slice determines the length-l coefficients.
-    The classes are subtracted in place from one residual dict.
+    One pass over _leads(n): the coordinate of w is its sign times the
+    residual's row at its lead, and subtracting that multiple of the
+    class in place zeroes the row.  A residual left at the end (a term
+    off the staircase) raises SingularTransitionError.
     """
     n = a.n
-    blocks = _transition_blocks(n)
-    residual = dict(a._terms)
-    coeffs: dict[perm.Permutation, BetaScalar] = {}
-    for l in sorted(blocks):
-        ws, mons, steps = blocks[l]
-        rhs: dict[tuple[int, ...], BetaScalar] = {mon: {} for mon in mons}
-        for (m, be), c in residual.items():
-            if m in rhs:
-                rhs[m][be] = c
-        for w, scalar in zip(ws, _back_substitute(steps, [rhs[m] for m in mons])):
-            if not scalar:
-                continue
-            coeffs[w] = scalar
-            for (m, bs), cs in schubert_class(w, n)._terms.items():
-                for be, v in scalar.items():
-                    key = (m, be + bs)
-                    c = residual.get(key, 0) - v * cs
-                    if c:
-                        residual[key] = c
-                    else:
-                        del residual[key]
-    if residual:
+    residual: dict[tuple[int, ...], BetaScalar] = {}
+    for (m, be), c in a._terms.items():
+        residual.setdefault(m, {})[be] = c
+    found: dict[perm.Permutation, BetaScalar] = {}
+    for lead, w, sign in _leads(n):
+        scalar = {be: sign * c for be, c in residual.get(lead, {}).items() if c}
+        if not scalar:
+            continue
+        found[w] = scalar
+        for (m, bs), cs in schubert_class(w, n)._terms.items():
+            row = residual.setdefault(m, {})
+            for be, v in scalar.items():
+                row[be + bs] = row.get(be + bs, 0) - v * cs
+    if any(c for row in residual.values() for c in row.values()):
         raise SingularTransitionError("expansion left a nonzero residual")
+    coeffs = {w: found[w] for w in sorted(found, key=lambda w: (perm.length(w), w))}
     return SchubertExpansion(n, coeffs)
 
 

@@ -12,11 +12,9 @@ from dlschubert.flagring import (
     FlagRingElement,
     SchubertExpansion,
     SingularTransitionError,
-    _back_substitute,
     _h_exponents,
-    _pivot_steps,
+    _leads,
     _reduce_exps,
-    _transition_blocks,
     is_staircase,
     normal_form,
     point_coefficient,
@@ -337,7 +335,9 @@ def test_clear_caches():
     assert not dlclass._LOWEST
     for cached in (
         schubert_class,
-        _transition_blocks,
+        _leads,
+        staircase_monomials,
+        _h_exponents,
         betapoly.top_beta_polynomial,
         fgl.pair_table,
         dlclass._slots,
@@ -362,34 +362,54 @@ def test_schubert_classes_have_unit_leading_term():
 
 
 def test_transition_block_sizes():
-    blocks = _transition_blocks(4)
-    sizes = [len(blocks[l][0]) for l in sorted(blocks)]
+    leads = _leads(4)
+    sizes = [sum(1 for m, _, _ in leads if sum(m) == l) for l in range(7)]
     assert sizes == [1, 3, 5, 6, 5, 3, 1]
-    for l, (ws, mons, inv) in blocks.items():
-        assert len(ws) == len(mons) == len(inv)
+    for m, w, sign in leads:
+        assert sum(m) == perm.length(w) and sign in (1, -1)
+        assert schubert_class(w, 4).coefficient(m) == sign
 
 
-def test_back_substitute():
-    steps = _pivot_steps([[1, 1], [0, 1]])
-    # unit right-hand sides give the columns of the inverse [[1, -1], [0, 1]]
-    assert _back_substitute(steps, [{0: 1}, {}]) == [{0: 1}, {}]
-    assert _back_substitute(steps, [{}, {0: 1}]) == [{0: -1}, {0: 1}]
-    assert _back_substitute(steps, [{0: 2, 1: 3}, {1: 1}]) == [{0: 2, 1: 2}, {1: 1}]
-    # rows and columns out of triangular order, pivot -1
-    steps = _pivot_steps([[0, 1], [-1, 1]])
-    assert _back_substitute(steps, [{0: 1}, {}]) == [{0: 1}, {0: 1}]
+def test_leads_refuse_a_basis_without_unit_leads(monkeypatch):
+    real = flagring.schubert_class
+
+    def scaled(w, n=None):
+        c = real(w, n)
+        return 2 * c if w == (1, 3, 2) else c
+
+    def shared(w, n=None):
+        # (2, 1, 3) and (1, 3, 2) both have length 1; give the second
+        # the class of the first
+        return real((2, 1, 3) if w == (1, 3, 2) else w, n)
+
+    for fake in (scaled, shared):
+        _leads.cache_clear()
+        monkeypatch.setattr(flagring, "schubert_class", fake)
+        try:
+            with pytest.raises(SingularTransitionError):
+                _leads(3)
+        finally:
+            monkeypatch.undo()
+            _leads.cache_clear()
+    assert len(_leads(3)) == 6
+
+
+def test_expand_rejects_terms_off_the_staircase():
     with pytest.raises(SingularTransitionError):
-        _pivot_steps([[2]])
-    with pytest.raises(SingularTransitionError):
-        _pivot_steps([[0]])
-    with pytest.raises(SingularTransitionError):
-        _pivot_steps([[1, 1], [1, 1]])
+        schubert_expand(FlagRingElement(3, {((0, 0, 3), 0): 1}))
+
+
+def test_expansion_order_is_length_then_permutation():
+    for w in perm.all_permutations(4):
+        coeffs = list(dlclass.dl_class_ck(w, 4, 3).expansion.coefficients)
+        assert coeffs == sorted(coeffs, key=lambda v: (perm.length(v), v)), w
 
 
 def test_s6_basis_smoke():
-    blocks = _transition_blocks(6)
-    assert sum(len(ws) for ws, _, _ in blocks.values()) == math.factorial(6)
-    assert max(len(ws) for ws, _, _ in blocks.values()) == 101
+    leads = _leads(6)
+    assert len(leads) == math.factorial(6)
+    sizes = [sum(1 for m, _, _ in leads if sum(m) == l) for l in range(16)]
+    assert max(sizes) == 101
     rng = random.Random(66)
     for w in rng.sample(sorted(perm.all_permutations(6)), 12):
         assert schubert_expand(schubert_class(w, 6)).coefficients == {w: {0: 1}}, w
