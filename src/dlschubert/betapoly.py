@@ -42,7 +42,6 @@ deg x = deg y = 1, deg beta = -1.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import perm
@@ -57,7 +56,6 @@ def _bump(exp: tuple[int, ...], i: int) -> tuple[int, ...]:
     return exp + (0,) * (i - 1 - len(exp)) + (1,)
 
 
-@functools.lru_cache(maxsize=None)
 def top_beta_polynomial(n: int) -> BetaPolynomial:
     """Polynomial of the longest element of S_n:
     prod over i + j <= n of (x_i + y_j + beta x_i y_j).

@@ -130,11 +130,9 @@ def cmd_cache(args) -> int:
     store = _cache_store(args)
     if store is None:
         raise CLIError(3, f"no cache directory; pass --cache-dir or set {ENV_CACHE_DIR}")
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} cache entries")
-        return 0
-    raise CLIError(2, f"unknown cache action {args.action!r}")
+    removed = store.clear()  # argparse admits no action but "clear"
+    print(f"removed {removed} cache entries")
+    return 0
 
 
 def _qs_list(text: str) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 Permutation = tuple[int, ...]
 
-CONVENTIONS = ("omega", "x", "y")
+LABELINGS = ("omega", "x", "y")
 
 
 def check_permutation(word: Iterable[int]) -> Permutation:
@@ -248,7 +248,7 @@ def convention_translate(w: Permutation, src: str, dst: str) -> Permutation:
     (1, 2, 3)
     """
     s, d = src.lower(), dst.lower()
-    if s not in CONVENTIONS or d not in CONVENTIONS:
+    if s not in LABELINGS or d not in LABELINGS:
         raise ValueError(f"unknown convention: {src!r} or {dst!r}")
     n = len(w)
     w0 = longest_element(n)

@@ -38,7 +38,7 @@ def braid_suite(n: int = 4) -> list[CheckResult]:
         ok = True
         detail = ""
         for word in sorted(perm.all_reduced_words(perm.compose(w0, w))):
-            acc = betapoly.top_beta_polynomial(n)
+            acc = betapoly.double_beta_polynomial(w0, n)
             for i in word:
                 acc = betapoly.divided_difference(i, acc)
             if acc != expected:

@@ -318,6 +318,23 @@ def test_reduce_matches_reference_rewriting():
     assert _reduce_exps(4, (8, 0, 0, 0)) == {}
 
 
+def test_top_degree_monomials_are_signed_points():
+    # Bernstein-Gelfand-Gelfand: in the top degree n(n-1)/2, x^e with
+    # every e_i < n is sign(e) x_2 x_3^2 .. x_n^(n-1) if e is a
+    # permutation of 0..n-1, and 0 otherwise
+    for n in range(1, 7):
+        top = n * (n - 1) // 2
+        staircase = tuple(range(n))
+        for e in itertools.product(range(n), repeat=n):
+            if sum(e) != top:
+                continue
+            if len(set(e)) < n:
+                assert _reduce_exps(n, e) == {}, e
+            else:
+                sign = (-1) ** perm.length(tuple(i + 1 for i in e))
+                assert _reduce_exps(n, e) == {staircase: sign}, e
+
+
 def test_clear_caches():
     u, v = (2, 1, 3), (1, 3, 2)
     product = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
@@ -338,7 +355,6 @@ def test_clear_caches():
         _leads,
         staircase_monomials,
         _h_exponents,
-        betapoly.top_beta_polynomial,
         fgl.pair_table,
         dlclass._slots,
         dlclass._layout,

@@ -182,8 +182,8 @@ def test_convention_translate():
         assert perm.convention_translate(w, "omega", "y") == perm.compose(
             w0, perm.compose(w, w0)
         )
-        for src in perm.CONVENTIONS:
-            for dst in perm.CONVENTIONS:
+        for src in perm.LABELINGS:
+            for dst in perm.LABELINGS:
                 there = perm.convention_translate(w, src, dst)
                 assert perm.convention_translate(there, dst, src) == w
     with pytest.raises(ValueError):
