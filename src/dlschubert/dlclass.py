@@ -24,13 +24,13 @@ table, by one product kernel that shifts slots while a product stays in
 the staircase and reads the others from a q-independent memo of reduced
 products.  At x-degree n(n-1)/2 only the lowest entry q^a (-1)^b
 t^(a+b) of each pair table counts (the others pass the top degree), so
-the image is q^|a| (-1)^|b| times the reduced monomial x^(a+b), a
-multiple of the class of a point that the same builder makes once per
-n.  A class is the sparse sum c * beta^e * image over the terms of the
-member of w.w0, read from a memoized "pair form" of that member; the
-sum of reduced images is already in normal form, so no class is
-reduced as a whole.  The images are the engine's largest memo;
-flagring.clear_caches() empties them.
+the image is q^|a| (-1)^|b| times the reduced monomial x^(a+b), which
+is the image of x^(a+b) at q = 1 ([1]t = t), kept in the row
+_IMAGES[(n, 1)] that every q shares.  A class is the sparse sum
+c * beta^e * image over the terms of the member of w.w0, read from a
+memoized "pair form" of that member; the sum of reduced images is
+already in normal form, so no class is reduced as a whole.  The images
+are the engine's largest memo; flagring.clear_caches() empties them.
 The family itself is built in the free ring first: the formal inverse
 exists only in the quotient ring, so the x-arguments must never be
 reduced while it is being assembled.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import warnings
 import weakref
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import factorial, isqrt, prod
 
@@ -77,11 +76,36 @@ class NonPrimePowerWarning(UserWarning):
     pass
 
 
+# Miller-Rabin with the bases 2..41 decides primality exactly below psi_13
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(r: int) -> bool:
+    """Miller-Rabin with the bases 2..41, for 41 < r < _MR_EXACT."""
+    s = ((r - 1) & (1 - r)).bit_length() - 1  # r - 1 = d * 2^s with d odd
+    d = (r - 1) >> s
+    return all(
+        pow(a, d, r) == 1 or any(pow(a, d << i, r) == r - 1 for i in range(s))
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    )
+
+
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    # the least divisor above 1 is prime; with none up to isqrt(q), q is prime
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    # the least divisor above 1 is prime; with none up to isqrt(q), q is
+    # prime.  Between 10^6 and _MR_EXACT only divisors up to 1000 are tried
+    quick = 10**6 < q < _MR_EXACT
+    p = next((d for d in range(2, (1000 if quick else isqrt(q)) + 1) if q % d == 0), q)
+    if quick and p == q:
+        # every prime factor of q passes 1000 > 2^9, so q = r^k has k <= bits / 9;
+        # for k >= 3, r < 2^28 and the float root is off by far less than 1/2
+        for k in range(1, q.bit_length() // 9 + 1):
+            r = q if k == 1 else isqrt(q) if k == 2 else round(q ** (1 / k))
+            if r**k == q and _is_prime(r):
+                return True
+        return False
     while q % p == 0:
         q //= p
     return q == 1
@@ -128,12 +152,9 @@ class DLResult:
 # _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff, slot, coeff,
 # ..) where slot = staircase index << _BETA_BITS | beta exponent; with
 # a code below x-degree n(n-1)/2 it holds the base _build made it from.
+# The row (n, 1) holds the images at q = 1, the reduced monomials x^a:
+# every q reads its point images from there.
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-# _LOWEST[n][pair code] = the reduced monomial x^a of a code with pairs
-# (a_i, 0), in the same flat form, with the bases _build made it from;
-# it does not depend on q.  For a code of x-degree n(n-1)/2 it is a
-# multiple of the class of a point.
-_LOWEST: dict[int, dict[int, tuple[int, ...]]] = {}
 # _PAIR_FORMS[(n, v)] = (weak reference to the family member of v, its
 # pair form); it notices a replaced or rebuilt member without keeping a
 # member alive that betapoly.clear_cache() dropped
@@ -265,15 +286,16 @@ def _times(n: int, flat: tuple[int, ...], j: int, table: fgl.Series) -> tuple[in
     return tuple(product)
 
 
-def _build(
-    n: int, code: int, memo: dict[int, tuple[int, ...]], table: Callable[..., fgl.Series]
-) -> tuple[int, ...]:
-    """The image of a nonzero pair code, memoized in `memo` (which holds
-    the image of code 0) with the images of the bases it is built from.
+def _build(n: int, q: int, code: int) -> tuple[int, ...]:
+    """The image of a nonzero pair code, memoized in _IMAGES[(n, q)]
+    (which holds the image of code 0) with the images of the bases it is
+    built from.
 
     It is the image of the base, the code with its last pair (a, b) that
-    is not (0, 0), pair j, set to (0, 0), times table(a, b) at x_{j+1}.
+    is not (0, 0), pair j, set to (0, 0), times fgl.pair_table(n, q, a, b)
+    at x_{j+1}.
     """
+    memo = _IMAGES[(n, q)]
     nn = n * n
     place, j = 1, n - 1
     while not code // place % nn:
@@ -282,8 +304,8 @@ def _build(
     base = code - pair * place
     flat = memo.get(base)
     if flat is None:
-        flat = _build(n, base, memo, table)
-    image = memo[code] = _times(n, flat, j, table(pair // n, pair % n))
+        flat = _build(n, q, base)
+    image = memo[code] = _times(n, flat, j, fgl.pair_table(n, q, pair // n, pair % n))
     return image
 
 
@@ -291,7 +313,8 @@ def _point_image(n: int, q: int, code: int) -> tuple[int, ...] | None:
     """The image of a pair code of x-degree n(n-1)/2, or None if the
     code's x-degree is lower: only the lowest entry q^a (-1)^b t^(a+b)
     of each pair table stays within the top degree, so the image is
-    q^|a| (-1)^|b| times the reduced monomial x^(a+b)."""
+    q^|a| (-1)^|b| times the image of x^(a+b) at q = 1, the reduced
+    monomial x^(a+b), read from _IMAGES[(n, 1)]."""
     sa = sb = low = 0  # low: the code of x^(a+b), pairs (a_i + b_i, 0)
     rest, place = code, n
     while rest:
@@ -300,10 +323,9 @@ def _point_image(n: int, q: int, code: int) -> tuple[int, ...] | None:
         sa, sb, low, place = sa + a, sb + b, low + (a + b) * place, place * n * n
     if sa + sb < n * (n - 1) // 2:
         return None
-    lowest = _LOWEST.setdefault(n, {0: (0, 1)})
-    flat = lowest.get(low)
-    if flat is None:  # by the tables t^a of the pairs (a, 0)
-        flat = _build(n, low, lowest, lambda a, b: ((a, 0, 1),))
+    flat = _IMAGES.setdefault((n, 1), {0: (0, 1)}).get(low)
+    if flat is None:
+        flat = _build(n, 1, low)
     scale = -(q**sa) if sb % 2 else q**sa
     pairs = iter(flat)
     return tuple(x for slot, c in zip(pairs, pairs) for x in (slot, c * scale))
@@ -314,9 +336,7 @@ def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
     the family member of w.w0; the images are in normal form already."""
     v = perm.compose(w, perm.longest_element(n))
     form = _pair_form(v, n)
-    images = _IMAGES.get((n, q))
-    if images is None:
-        images = _IMAGES[(n, q)] = {0: (0, 1)}
+    images = _IMAGES.setdefault((n, q), {0: (0, 1)})
     # a term of the member, homogeneous of degree length(v), has x-degree
     # n(n-1)/2 iff its beta exponent is `point`; a primed member need not
     # be homogeneous, so _point_image checks the code as well
@@ -328,7 +348,7 @@ def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
         image = images.get(code)
         if image is None:
             if be != point or (image := _point_image(n, q, code)) is None:
-                image = _build(n, code, images, functools.partial(fgl.pair_table, n, q))
+                image = _build(n, q, code)
             images[code] = image
         pairs = iter(image)
         for slot, ic in zip(pairs, pairs):

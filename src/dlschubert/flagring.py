@@ -326,17 +326,17 @@ def clear_caches() -> None:
     leads, the double beta-polynomial family, the substitution tables
     of the formal group law, and the reduced Deligne-Lusztig monomial
     images with the pair forms of the family members they are summed
-    over, the reduced monomials of the point images, the staircase
-    products and product layouts they are built from, and the slots
-    they store.
+    over, the staircase products and product layouts they are built
+    from, and the slots they store.
 
     None of these is bounded.  The images grow with every (n, q) asked
     for: all 120 classes of S_5 at q = 2, 3, 5 leave 24,495 images with
-    174,767 entries, and the pair forms of the 120 members 111,861
-    terms; the reduced monomials (746), staircase products (181),
-    layouts (5) and slots (482) do not grow with q.  Such a process
-    peaks at about 45 MB resident, against about 32 MB when every class
-    was expanded term by term.
+    174,767 entries in those rows, and the pair forms of the 120 members
+    111,861 terms; the row of images at q = 1 that every q reads its
+    point images from (746 images, 1,681 entries), the staircase
+    products (181), layouts (5) and slots (482) do not grow with q.
+    Such a process peaks at about 45 MB resident, against about 32 MB
+    when every class was expanded term by term.
     """
     from . import dlclass, fgl  # imported here: both import this module
 
@@ -348,7 +348,6 @@ def clear_caches() -> None:
     _leads.cache_clear()
     betapoly.clear_cache()
     dlclass._IMAGES.clear()
-    dlclass._LOWEST.clear()
     dlclass._PAIR_FORMS.clear()
     dlclass._TIMES.clear()
     dlclass._layout.cache_clear()

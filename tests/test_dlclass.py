@@ -35,7 +35,9 @@ F = FlagRingElement
 
 def test_is_prime_power():
     yes = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 81, 128, 10**9 + 7, 999983**2]
+    yes += [2**61 - 1, (2**31 - 1) ** 2, 1000003**3]
     no = [0, 1, 6, 10, 12, 14, 15, 18, 20, 100, 999983 * 999979, 10**9]
+    no += [(2**31 - 1) * (2**31 + 11)]
     assert all(is_prime_power(q) for q in yes)
     assert not any(is_prime_power(q) for q in no)
 
@@ -163,10 +165,16 @@ def test_flag_count_oracle_group_order_crosscheck():
 
 
 def test_identity_point_count_matches_oracle():
-    for n in (2, 3):
-        for q in (2, 3, 5):
-            ch = dl_class_ch(perm.identity(n), n, q)
-            assert point_coefficient(ch.element) == {0: flag_count_oracle(n, q)}
+    # X(1) is the finite set of rational flags: the whole class is that
+    # many points, with no lower term, in every theory
+    for n in (1, 2, 3, 4, 5):
+        w0 = perm.longest_element(n)
+        for q in (2, 3, 4, 5, 7, 9, 16):
+            whole = {w0: {0: flag_count_oracle(n, q)}}
+            for theory in ("CK", "CH", "K0"):
+                res = dl_class(DLQuery(perm.identity(n), n, q, theory))
+                assert res.expansion.coefficients == whole, (n, q, theory)
+                assert point_coefficient(res.element) == whole[w0], (n, q, theory)
 
 
 def test_identity_point_count_at_large_prime():
