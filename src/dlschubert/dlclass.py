@@ -48,12 +48,14 @@ import functools
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from math import factorial, isqrt, prod
+from math import exp, factorial, isqrt, log, prod
 
 from . import betapoly, fgl, perm
 from .flagring import (
+    _BETA_BITS,
     FlagRingElement,
     SchubertExpansion,
+    _index,
     _reduce_exps,
     normal_form,  # noqa: F401  (public name of this module; perfbench traces it)
     schubert_expand,
@@ -81,31 +83,95 @@ class NonPrimePowerWarning(UserWarning):
 _MR_EXACT = 3_317_044_064_679_887_385_961_981
 
 
+def _jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a / m) for odd m > 0."""
+    a, t = a % m, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                t = -t
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            t = -t
+        a %= m
+    return t if m == 1 else 0
+
+
+def _strong_lucas(r: int) -> bool:
+    """The strong Lucas probable-prime test of an odd r > 1 that is not a
+    square, with Selfridge's parameters: D the first of 5, -7, 9, -11, ..
+    with (D / r) = -1, P = 1, Q = (1 - D) / 4."""
+    d = 5
+    while (j := _jacobi(d, r)) == 1:
+        d = -d - 2 if d > 0 else -d + 2
+    if j == 0:
+        return r == abs(d)
+    q = (1 - d) // 4
+    s = ((r + 1) & -(r + 1)).bit_length() - 1  # r + 1 = k * 2^s with k odd
+    u, v, qk = 1, 1, q  # U_k, V_k, Q^k at k = 1, read from the top bit of k down
+    for bit in bin((r + 1) >> s)[3:]:
+        u, v, qk = u * v % r, (v * v - 2 * qk) % r, qk * qk % r
+        if bit == "1":
+            u, v, qk = (u + v) % r, (d * u + v) % r, qk * q % r
+            u, v = (u + r * (u & 1)) // 2, (v + r * (v & 1)) // 2
+    for _ in range(s):
+        if u == 0 or v == 0:
+            return True
+        u, v, qk = 1, (v * v - 2 * qk) % r, qk * qk % r
+    return False
+
+
 def _is_prime(r: int) -> bool:
-    """Miller-Rabin with the bases 2..41, for 41 < r < _MR_EXACT."""
+    """Primality of an odd r > 41: Miller-Rabin with the bases 2..41,
+    exact below _MR_EXACT; above it Baillie-PSW, base 2 and then the
+    strong Lucas test (no composite is known to pass both).  False is
+    always a proof."""
     s = ((r - 1) & (1 - r)).bit_length() - 1  # r - 1 = d * 2^s with d odd
     d = (r - 1) >> s
-    return all(
-        pow(a, d, r) == 1 or any(pow(a, d << i, r) == r - 1 for i in range(s))
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    )
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41) if r < _MR_EXACT else (2,):
+        x = pow(a, d, r)
+        if x != 1:  # then some a^(d 2^i), i < s, must be -1
+            for _ in range(s):
+                if x == r - 1:
+                    break
+                x = x * x % r
+            else:
+                return False
+    return r < _MR_EXACT or (isqrt(r) ** 2 != r and _strong_lucas(r))
+
+
+def _iroot(q: int, k: int) -> int:
+    """The integer part of q^(1/k), by Newton's method from above: from
+    just above the float estimate (relative error far below 1e-9) where
+    that root is below 2^1000, else from the power of two above it."""
+    b = -(-q.bit_length() // k)
+    r = int(exp(log(q) / k) * (1 + 1e-9)) + 1 if b < 1000 else 1 << b
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and some k >= 1.
+
+    Up to 10^6 by trial division.  Above, divisors up to 1000 are tried
+    (one decides), and otherwise q is a prime power iff some exact k-th
+    root of it is prime by _is_prime.  Below psi_13 = _MR_EXACT the
+    answer is exact; above it a True rests on the Baillie-PSW test,
+    while a False is still a proof.
+    """
     if q < 2:
         return False
-    # the least divisor above 1 is prime; with none up to isqrt(q), q is
-    # prime.  Between 10^6 and _MR_EXACT only divisors up to 1000 are tried
-    quick = 10**6 < q < _MR_EXACT
+    # the least divisor above 1 is prime; with none up to isqrt(q), q is prime
+    quick = q > 10**6
     p = next((d for d in range(2, (1000 if quick else isqrt(q)) + 1) if q % d == 0), q)
     if quick and p == q:
-        # every prime factor of q passes 1000 > 2^9, so q = r^k has k <= bits / 9;
-        # for k >= 3, r < 2^28 and the float root is off by far less than 1/2
-        for k in range(1, q.bit_length() // 9 + 1):
-            r = q if k == 1 else isqrt(q) if k == 2 else round(q ** (1 / k))
-            if r**k == q and _is_prime(r):
-                return True
-        return False
+        # every prime factor of q passes 1000 > 2^9, so q = r^k has k <= bits / 9
+        roots = ((_iroot(q, k), k) for k in range(1, q.bit_length() // 9 + 1))
+        return any(r**k == q and _is_prime(r) for r, k in roots)
     while q % p == 0:
         q //= p
     return q == 1
@@ -166,8 +232,6 @@ _PAIR_FORMS: dict[tuple[int, Permutation], tuple[weakref.ref, tuple[int, ...]]] 
 # as ((slot shift, coeff), ..) with the shifts at beta exponent 0.  Only
 # products that leave the staircase are stored; they do not depend on q.
 _TIMES: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
-# a beta exponent of a class is at most its x-degree, so <= n(n-1)/2
-_BETA_BITS = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,14 +239,6 @@ def _slots(n: int) -> dict[int, int]:
     """The slots of S_n met so far, each mapped to itself: every image
     stores these int objects instead of holding its own."""
     return {}
-
-
-def _index(m: tuple[int, ...]) -> int:
-    """Position of a staircase monomial in staircase_monomials order."""
-    index = 0
-    for i, mi in enumerate(m):  # the exponent of x_{i+1} has radix i + 1
-        index = index * (i + 1) + mi
-    return index
 
 
 def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
@@ -354,11 +410,7 @@ def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
         for slot, ic in zip(pairs, pairs):
             slot += be
             acc[slot] = get(slot, 0) + c * ic
-    mons = staircase_monomials(n)
-    mask = (1 << _BETA_BITS) - 1
-    return FlagRingElement(
-        n, {(mons[slot >> _BETA_BITS], slot & mask): c for slot, c in acc.items()}
-    )
+    return FlagRingElement.from_slots(n, acc)
 
 
 def dl_class(query: DLQuery, strict: bool = False) -> DLResult:

@@ -18,16 +18,22 @@ multiplication that reduces each product monomial, the staircase
 accessors, rendering and JSON.
 
 Schubert classes are indexed so that length(w) = codimension and are
-computed inside the ring.  The class of the longest element is the
-point class x1^(n-1) x2^(n-2) ... x_(n-1); going down a right ascent
-applies the beta-sign-flipped divided difference phi_i to a staircase
-representative and reduces.  phi_i is linear over symmetric
-polynomials, so it maps the ideal into itself and the result is the
-normal form of the beta-sign-flipped double beta polynomial of w with
-all y set to 0.  The lead of a class, the lex-largest monomial of its
-x-degree length(w) part, has coefficient +-1 and differs for each w
-(_leads checks both).  Ordered by degree and then by descending lead,
-the classes are unitriangular against their leads, so expansion is one
+computed inside the ring, never through the free ring.  The class of
+the longest element is the point class x1^(n-1) x2^(n-2) ... x_(n-1),
+which is (-1)^(n(n-1)/2) x2 x3^2 .. xn^(n-1): in the top degree, x^e
+with e a permutation of 0..n-1 is sign(e) times the latter (the divided
+difference of the longest element kills the ideal there).  Going down
+a right ascent i applies the beta-sign-flipped divided difference
+phi_i.  It is linear over ZZ[beta] and over symmetric polynomials, so
+it maps the ideal into itself and acts on normal forms by rows: the
+normal form of phi_i of a staircase monomial, built once per (n, i,
+monomial).  The result is the normal form of the beta-sign-flipped
+double beta polynomial of w with all y set to 0.
+
+The lead of a class, the lex-largest monomial of its x-degree
+length(w) part, has coefficient +-1 and differs for each w (_leads
+checks both).  Ordered by degree and then by descending lead, the
+classes are unitriangular against their leads, so expansion is one
 pass of integer subtractions.
 """
 
@@ -57,6 +63,20 @@ def staircase_monomials(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*[range(k + 1) for k in range(n)]))
 
 
+# A slot packs a term key of a staircase basis element into one int:
+# staircase index << _BETA_BITS | beta exponent.  A beta exponent of a
+# class is at most its x-degree, so <= n(n-1)/2.
+_BETA_BITS = 16
+
+
+def _index(m: tuple[int, ...]) -> int:
+    """Position of a staircase monomial in staircase_monomials order."""
+    index = 0
+    for i, mi in enumerate(m):  # the exponent of x_{i+1} has radix i + 1
+        index = index * (i + 1) + mi
+    return index
+
+
 def is_staircase(exps: tuple[int, ...]) -> bool:
     return all(e <= k for k, e in enumerate(exps))
 
@@ -77,51 +97,83 @@ def _h_exponents(n: int, v: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-_REDUCE_MEMO: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
+@functools.lru_cache(maxsize=None)
+def _coding(n: int) -> tuple[int, int, int]:
+    """The integer code of a length-n exponent tuple, e_k in the width
+    bits from k * width, as (width, probe, mask).  Rewriting keeps the
+    degree, which _reduce_exps cuts above top = n(n-1)/2 < 2^(width-1),
+    so no exponent passes top: adding the probe's 2^(width-1) - 1 - k to
+    field k carries into no other field and sets the field's top bit,
+    in mask, exactly when e_k > k."""
+    width = (n * (n - 1) // 2).bit_length() + 1
+    probe = sum(((1 << width - 1) - 1 - k) << k * width for k in range(n))
+    mask = sum(1 << (k + 1) * width - 1 for k in range(n))
+    return width, probe, mask
+
+
+def _encode(exps: Iterable[int], width: int) -> int:
+    return sum(e << k * width for k, e in enumerate(exps))
+
+
+@functools.lru_cache(maxsize=None)
+def _h_offsets(n: int, v: int) -> tuple[int, ...]:
+    """_h_exponents(n, v) as codes: the children of a monomial whose
+    x_v^v is rewritten are base + offset."""
+    width = _coding(n)[0]
+    return tuple(_encode(h, width) for h in _h_exponents(n, v))
+
+
+# n -> {code: normal form}; a normal form is {staircase exps: coeff}
+_REDUCE_MEMO: dict[int, dict[int, dict[tuple[int, ...], int]]] = {}
 
 
 def _reduce_exps(n: int, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Normal form of the monomial x^exps as {staircase exps: coeff}.
+    """Normal form of the monomial x^exps as {staircase exps: coeff};
+    exps may leave out trailing zeros.
 
-    Every monomial met on the way is memoized; the rewriting tree is
-    walked with an explicit stack, not recursion.  Monomials of degree
-    above n(n-1)/2 are zero at once (no staircase monomial has that
-    degree).  The result is shared with the memo: do not mutate it.
+    Monomials of degree above n(n-1)/2 are zero at once (no staircase
+    monomial has that degree).  The result is shared with the memo: do
+    not mutate it.
     """
-    memo = _REDUCE_MEMO
-    got = memo.get((n, exps))
+    if sum(exps) > n * (n - 1) // 2:
+        return {}
+    return _reduce_code(n, _encode(exps, _coding(n)[0]))
+
+
+def _reduce_code(n: int, code: int) -> dict[tuple[int, ...], int]:
+    """_reduce_exps of the monomial with that code, of degree at most
+    n(n-1)/2.  The rewriting tree is walked with an explicit stack, not
+    recursion, and every monomial met on the way is memoized."""
+    memo = _REDUCE_MEMO.setdefault(n, {})
+    got = memo.get(code)
     if got is not None:
         return got
-    if sum(exps) > n * (n - 1) // 2:
-        got = memo[(n, exps)] = {}
-        return got
-    stack = [exps]
+    width, probe, mask = _coding(n)
+    field = (1 << width) - 1
+    stack = [code]
     while stack:
         m = stack.pop()
-        if (n, m) in memo:
+        if m in memo:
             continue
-        viol = next((k for k, e in enumerate(m) if e > k), None)
-        if viol is None:
-            memo[(n, m)] = {m: 1}
+        flags = (m + probe) & mask
+        if not flags:
+            memo[m] = {tuple(m >> k * width & field for k in range(n)): 1}
             continue
-        # x_v^v = -(h_v(x_v, .., x_n) - x_v^v)
-        v = viol + 1
-        base = list(m)
-        base[viol] -= v
-        children = [
-            tuple(b + h for b, h in zip(base, hm)) for hm in _h_exponents(n, v)
-        ]
-        todo = [c for c in children if (n, c) not in memo]
+        # x_v^v = -(h_v(x_v, .., x_n) - x_v^v) at the first e_k > k, v = k + 1
+        v = ((flags & -flags).bit_length() - 1) // width + 1
+        base = m - (v << (v - 1) * width)
+        children = [base + h for h in _h_offsets(n, v)]
+        todo = [c for c in children if c not in memo]
         if todo:
             stack.append(m)
             stack.extend(todo)
             continue
         out: dict[tuple[int, ...], int] = {}
         for child in children:
-            for sm, sc in memo[(n, child)].items():
+            for sm, sc in memo[child].items():
                 out[sm] = out.get(sm, 0) - sc
-        memo[(n, m)] = {sm: c for sm, c in out.items() if c}
-    return memo[(n, exps)]
+        memo[m] = {sm: c for sm, c in out.items() if c}
+    return memo[code]
 
 
 TermKey = tuple[tuple[int, ...], int]  # (exponents of length n, beta exponent)
@@ -166,6 +218,12 @@ class FlagRingElement(poly.SparseTerms):
         return cls(n, {(sm, 0): c for sm, c in _reduce_exps(n, exps).items()})
 
     @classmethod
+    def from_slots(cls, n: int, slots: Mapping[int, int]) -> "FlagRingElement":
+        """The element with coefficient c at each slot of {slot: c}."""
+        mons, low = staircase_monomials(n), (1 << _BETA_BITS) - 1
+        return cls(n, {(mons[s >> _BETA_BITS], s & low): c for s, c in slots.items()})
+
+    @classmethod
     def beta(cls, n: int) -> "FlagRingElement":
         return cls(n, {((0,) * n, 1): 1})
 
@@ -181,12 +239,17 @@ class FlagRingElement(poly.SparseTerms):
         if not isinstance(other, FlagRingElement):
             return NotImplemented
         self._check(other)
-        n = self.n
+        n, width = self.n, _coding(self.n)[0]
+
+        def coded(x):  # the code of a product monomial is the sum of codes
+            return [(_encode(m, width), sum(m), be, c) for (m, be), c in x._terms.items()]
+
+        b = coded(other)
         return FlagRingElement(n, poly._collect(
             ((sm, ba + bb), ca * cb * sc)
-            for (ea, ba), ca in self._terms.items()
-            for (eb, bb), cb in other._terms.items()
-            for sm, sc in _reduce_exps(n, tuple(p + q for p, q in zip(ea, eb))).items()
+            for ka, da, ba, ca in coded(self)
+            for kb, db, bb, cb in b if da + db <= n * (n - 1) // 2
+            for sm, sc in _reduce_code(n, ka + kb).items()
         ))
 
     __rmul__ = __mul__
@@ -268,11 +331,23 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
     return FlagRingElement(n, poly._collect(
         ((sm, be), c * sc)
         for (xe, _, be), c in p.terms().items()
-        for sm, sc in _reduce_exps(n, xe + (0,) * (n - len(xe))).items()
+        for sm, sc in _reduce_exps(n, xe).items()
     ))
 
 
 # -- Schubert classes and expansion ------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_row(n: int, i: int, m: tuple[int, ...]) -> tuple[int, ...]:
+    """Normal form of the beta-sign-flipped phi_i(x^m), for a staircase
+    monomial x^m, as a flat (slot, coeff, ..) tuple."""
+    terms = poly._collect(
+        ((_index(sm) << _BETA_BITS) + k, (-s if k else s) * sc)
+        for x, k, s in betapoly._phi_images(m, i)
+        for sm, sc in _reduce_exps(n, x).items()
+    )
+    return tuple(v for item in terms.items() for v in item)
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,14 +357,23 @@ def schubert_class(w: perm.Permutation, n: int | None = None) -> FlagRingElement
     Equal to the normal form of the beta-sign-flipped double beta
     polynomial of w with y -> 0, but never builds that polynomial: it
     starts from the point class at the longest element and walks down
-    the right ascent that betapoly.double_beta_polynomial takes.
+    the right ascent i that betapoly.double_beta_polynomial takes,
+    mapping each term c beta^e x^m of the class above by c beta^e times
+    the row _phi_row(n, i, m).
     """
     w, n = betapoly._resolve(w, n)
     if w == perm.longest_element(n):
-        return normal_form(BetaPolynomial.term(1, x=range(n - 1, -1, -1)), n)
+        # x1^(n-1) .. x_(n-1), by the top degree sign rule (module docstring)
+        return FlagRingElement(n, {(tuple(range(n)), 0): (-1) ** (n * (n - 1) // 2)})
     i = perm.right_ascents(w)[0]
-    rep = schubert_class(perm.times_s(w, i), n).to_polynomial().flip_beta_sign()
-    return normal_form(betapoly.divided_difference(i, rep).flip_beta_sign(), n)
+    out: dict[int, int] = {}
+    get = out.get
+    for (m, e), c in schubert_class(perm.times_s(w, i), n)._terms.items():
+        row = iter(_phi_row(n, i, m))
+        for slot, rc in zip(row, row):
+            slot += e
+            out[slot] = get(slot, 0) + c * rc
+    return FlagRingElement.from_slots(n, out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,9 +381,9 @@ def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
     """The Schubert basis as (lead monomial, w, sign) triples, sorted by
     degree and then by descending lead.
 
-    The lead of w is the lex-largest monomial of the x-degree length(w)
-    part of its class (that part is beta-free by gradedness), and sign is
-    its coefficient.  A class meets no monomial of lower degree and no
+    The lead of w is the lex-largest monomial of the beta-free part of
+    its class (by gradedness, its part of x-degree length(w)), and sign
+    is its coefficient.  A class meets no monomial of lower degree and no
     larger monomial of its own degree, so it is zero at every lead before
     its own: with unit signs and n! distinct leads the basis change is
     unitriangular in this order.  Otherwise SingularTransitionError is
@@ -307,8 +391,7 @@ def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
     """
     found: dict[tuple[int, ...], tuple[perm.Permutation, int]] = {}
     for w in perm.all_permutations(n):
-        l = perm.length(w)
-        part = {m: c for (m, _), c in schubert_class(w, n)._terms.items() if sum(m) == l}
+        part = {m: c for (m, be), c in schubert_class(w, n)._terms.items() if not be}
         lead = max(part, default=None)
         sign = part.get(lead, 0)
         if sign not in (1, -1):
@@ -321,20 +404,24 @@ def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
 
 
 def clear_caches() -> None:
-    """Empty every memo of the engine: the staircase monomials and
-    rewriting relations, monomial reduction, Schubert classes and their
-    leads, the double beta-polynomial family, the substitution tables
+    """Empty every memo of the engine: the staircase monomials,
+    rewriting relations and monomial codes, monomial reduction, the rows
+    of phi_i on the staircase basis, Schubert classes and their leads,
+    the double beta-polynomial family, the substitution tables
     of the formal group law, and the reduced Deligne-Lusztig monomial
     images with the pair forms of the family members they are summed
     over, the staircase products and product layouts they are built
     from, and the slots they store.
 
-    None of these is bounded.  The images grow with every (n, q) asked
-    for: all 120 classes of S_5 at q = 2, 3, 5 leave 24,495 images with
-    174,767 entries in those rows, and the pair forms of the 120 members
-    111,861 terms; the row of images at q = 1 that every q reads its
-    point images from (746 images, 1,681 entries), the staircase
-    products (181), layouts (5) and slots (482) do not grow with q.
+    None of these is bounded.  The Schubert basis of S_n leaves 271
+    rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
+    3,015 and 28,786 reduced monomials).  The images grow with every
+    (n, q) asked for: all 120 classes of S_5 at q = 2, 3, 5 leave
+    24,495 images with 174,767 entries in those rows, and the pair forms
+    of the 120 members 111,861 terms; the row of images at q = 1 that
+    every q reads its point images from (746 images, 1,681 entries), the
+    staircase products (181), layouts (5) and slots (482) do not grow
+    with q.
     Such a process peaks at about 45 MB resident, against about 32 MB
     when every class was expanded term by term.
     """
@@ -342,7 +429,10 @@ def clear_caches() -> None:
 
     staircase_monomials.cache_clear()
     _h_exponents.cache_clear()
+    _coding.cache_clear()
+    _h_offsets.cache_clear()
     _REDUCE_MEMO.clear()
+    _phi_row.cache_clear()
     fgl.pair_table.cache_clear()
     schubert_class.cache_clear()
     _leads.cache_clear()

@@ -3,10 +3,11 @@ import json
 import random
 import warnings
 import weakref
+from math import isqrt
 
 import pytest
 
-from dlschubert import betapoly, clear_caches, fgl, perm, poly
+from dlschubert import betapoly, clear_caches, dlclass, fgl, perm, poly
 from dlschubert.dlclass import (
     CONVENTIONS,
     DLQuery,
@@ -36,10 +37,22 @@ F = FlagRingElement
 def test_is_prime_power():
     yes = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 81, 128, 10**9 + 7, 999983**2]
     yes += [2**61 - 1, (2**31 - 1) ** 2, 1000003**3]
+    # above psi_13 = dlclass._MR_EXACT: decided by Baillie-PSW, each at once
+    yes += [2**127 - 1, (2**127 - 1) ** 2]
     no = [0, 1, 6, 10, 12, 14, 15, 18, 20, 100, 999983 * 999979, 10**9]
-    no += [(2**31 - 1) * (2**31 + 11)]
+    no += [(2**31 - 1) * (2**31 + 11), (2**127 - 1) * (2**89 - 1)]
     assert all(is_prime_power(q) for q in yes)
     assert not any(is_prime_power(q) for q in no)
+
+
+def test_strong_lucas_test():
+    # odd non-squares below 20,000: the test passes the primes and, of the
+    # composites, exactly the strong Lucas pseudoprimes (OEIS A217255)
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971}
+    for r in range(3, 20000, 2):
+        if isqrt(r) ** 2 != r:
+            prime = all(r % d for d in range(3, isqrt(r) + 1, 2))
+            assert dlclass._strong_lucas(r) == (prime or r in pseudoprimes), r
 
 
 def test_query_validation():

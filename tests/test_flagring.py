@@ -239,7 +239,7 @@ def test_schubert_class_frozen():
     assert schubert_class((1, 2), 2) == F.one(2)
     assert schubert_class((2, 1), 2) == -F.x_gen(2, 2)
     # the longest element gives the point class x1^(n-1) x2^(n-2) ...
-    for n in (2, 3, 4):
+    for n in range(1, 7):
         expt = tuple(range(n - 1, -1, -1))
         point = normal_form(
             B.term(1, x=expt), n
@@ -260,6 +260,27 @@ def test_schubert_class_matches_free_route():
     for w, n in (((2, 1), 4), ((1, 3, 2), 5), ((2, 3, 1), 4)):
         assert schubert_class(w, n) == _free_route(w, n), (w, n)
         assert schubert_class(w, n) == schubert_class(perm.embed(w, n), n)
+
+
+def _divided_difference_route(w, n, memo):
+    """Schubert class by the route through the free ring: the class of
+    w.s_i as a polynomial, beta-sign-flipped divided difference phi_i,
+    normal form; memoized in memo."""
+    if w not in memo:
+        if w == perm.longest_element(n):
+            memo[w] = normal_form(B.term(1, x=range(n - 1, -1, -1)), n)
+        else:
+            i = perm.right_ascents(w)[0]
+            above = _divided_difference_route(perm.times_s(w, i), n, memo)
+            rep = above.to_polynomial().flip_beta_sign()
+            memo[w] = normal_form(betapoly.divided_difference(i, rep).flip_beta_sign(), n)
+    return memo[w]
+
+
+def test_schubert_class_matches_divided_difference_route():
+    memo = {}
+    for w in perm.all_permutations(6):
+        assert schubert_class(w, 6) == _divided_difference_route(w, 6, memo), w
 
 
 def _reduce_reference(n, exps, memo):
@@ -318,6 +339,19 @@ def test_reduce_matches_reference_rewriting():
     assert _reduce_exps(4, (8, 0, 0, 0)) == {}
 
 
+def test_code_width_follows_n():
+    # exponents reach the top degree n(n-1)/2, 36 at n = 9 and 66 at
+    # n = 12, which no fixed 5-bit or 6-bit field of a code holds: reduce
+    # every x_(n-1)^a x_n^b up to that degree, in ascending order, so
+    # that the reference finds every rewritten monomial memoized
+    for n in (9, 12):
+        top, memo = n * (n - 1) // 2, {}
+        for a, b in itertools.product(range(top + 1), repeat=2):
+            if a + b <= top:
+                m = (0,) * (n - 2) + (a, b)
+                assert _reduce_exps(n, m) == _reduce_reference(n, m, memo), m
+
+
 def test_top_degree_monomials_are_signed_points():
     # Bernstein-Gelfand-Gelfand: in the top degree n(n-1)/2, x^e with
     # every e_i < n is sign(e) x_2 x_3^2 .. x_n^(n-1) if e is a
@@ -341,8 +375,10 @@ def test_clear_caches():
     family = betapoly.double_beta_polynomial((2, 3, 1), 3)
     table = fgl.pair_table(3, 5, 1, 1)
     element = dlclass._ck_element((1, 2, 3), 3, 5)
+    cls = schubert_class((1, 2, 3), 3)
     assert dlclass._IMAGES and dlclass._PAIR_FORMS and dlclass._TIMES
     assert (3, 1) in dlclass._IMAGES and dlclass._slots(3)
+    assert flagring._phi_row.cache_info().currsize
     clear_caches()
     assert not flagring._REDUCE_MEMO
     assert not betapoly._FAMILY
@@ -354,12 +390,16 @@ def test_clear_caches():
         _leads,
         staircase_monomials,
         _h_exponents,
+        flagring._coding,
+        flagring._h_offsets,
+        flagring._phi_row,
         fgl.pair_table,
         dlclass._slots,
         dlclass._layout,
     ):
         assert cached.cache_info().currsize == 0
     assert fgl.pair_table(3, 5, 1, 1) == table
+    assert schubert_class((1, 2, 3), 3) == cls
     again = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     assert again.coefficients == product.coefficients
     assert betapoly.double_beta_polynomial((2, 3, 1), 3) == family
