@@ -65,16 +65,27 @@ def staircase_monomials(n: int) -> tuple[tuple[int, ...], ...]:
 
 # A slot packs a term key of a staircase basis element into one int:
 # staircase index << _BETA_BITS | beta exponent.  A beta exponent of a
-# class is at most its x-degree, so <= n(n-1)/2.
+# class is at most its x-degree, so <= n(n-1)/2; products and normal
+# forms refuse a beta exponent that would spill into the index.
 _BETA_BITS = 16
 
 
-def _index(m: tuple[int, ...]) -> int:
+def _index(m: Iterable[int]) -> int:
     """Position of a staircase monomial in staircase_monomials order."""
     index = 0
     for i, mi in enumerate(m):  # the exponent of x_{i+1} has radix i + 1
         index = index * (i + 1) + mi
     return index
+
+
+@functools.lru_cache(maxsize=None)
+def _staircase(n: int, index: int) -> tuple[int, ...]:
+    """The staircase monomial at that index, the inverse of _index,
+    without listing staircase_monomials(n) (12! entries at n = 12)."""
+    exps = [0] * n
+    for k in range(n - 1, 0, -1):
+        index, exps[k] = divmod(index, k + 1)
+    return tuple(exps)
 
 
 def is_staircase(exps: tuple[int, ...]) -> bool:
@@ -123,24 +134,24 @@ def _h_offsets(n: int, v: int) -> tuple[int, ...]:
     return tuple(_encode(h, width) for h in _h_exponents(n, v))
 
 
-# n -> {code: normal form}; a normal form is {staircase exps: coeff}
-_REDUCE_MEMO: dict[int, dict[int, dict[tuple[int, ...], int]]] = {}
+# n -> {code: normal form as ((slot, coeff), ..) at beta exponent 0}, read
+# by the rows of phi_i, the ring product and dlclass's image kernel
+_REDUCE_MEMO: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
 
 
-def _reduce_exps(n: int, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Normal form of the monomial x^exps as {staircase exps: coeff};
-    exps may leave out trailing zeros.
+def _reduce_exps(n: int, exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Normal form of the monomial x^exps as ((slot, coeff), ..) at beta
+    exponent 0; exps may leave out trailing zeros.
 
     Monomials of degree above n(n-1)/2 are zero at once (no staircase
-    monomial has that degree).  The result is shared with the memo: do
-    not mutate it.
+    monomial has that degree).
     """
     if sum(exps) > n * (n - 1) // 2:
-        return {}
+        return ()
     return _reduce_code(n, _encode(exps, _coding(n)[0]))
 
 
-def _reduce_code(n: int, code: int) -> dict[tuple[int, ...], int]:
+def _reduce_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
     """_reduce_exps of the monomial with that code, of degree at most
     n(n-1)/2.  The rewriting tree is walked with an explicit stack, not
     recursion, and every monomial met on the way is memoized."""
@@ -157,7 +168,7 @@ def _reduce_code(n: int, code: int) -> dict[tuple[int, ...], int]:
             continue
         flags = (m + probe) & mask
         if not flags:
-            memo[m] = {tuple(m >> k * width & field for k in range(n)): 1}
+            memo[m] = ((_index(m >> k * width & field for k in range(n)) << _BETA_BITS, 1),)
             continue
         # x_v^v = -(h_v(x_v, .., x_n) - x_v^v) at the first e_k > k, v = k + 1
         v = ((flags & -flags).bit_length() - 1) // width + 1
@@ -168,11 +179,11 @@ def _reduce_code(n: int, code: int) -> dict[tuple[int, ...], int]:
             stack.append(m)
             stack.extend(todo)
             continue
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         for child in children:
-            for sm, sc in memo[child].items():
-                out[sm] = out.get(sm, 0) - sc
-        memo[m] = {sm: c for sm, c in out.items() if c}
+            for slot, sc in memo[child]:
+                out[slot] = out.get(slot, 0) - sc
+        memo[m] = tuple((slot, c) for slot, c in out.items() if c)
     return memo[code]
 
 
@@ -214,14 +225,13 @@ class FlagRingElement(poly.SparseTerms):
         """The generator x_i, reduced to normal form."""
         if not 1 <= i <= n:
             raise ValueError(f"x{i} is not a generator for n={n}")
-        exps = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return cls(n, {(sm, 0): c for sm, c in _reduce_exps(n, exps).items()})
+        return cls.from_slots(n, dict(_reduce_exps(n, (0,) * (i - 1) + (1,))))
 
     @classmethod
     def from_slots(cls, n: int, slots: Mapping[int, int]) -> "FlagRingElement":
         """The element with coefficient c at each slot of {slot: c}."""
-        mons, low = staircase_monomials(n), (1 << _BETA_BITS) - 1
-        return cls(n, {(mons[s >> _BETA_BITS], s & low): c for s, c in slots.items()})
+        low = (1 << _BETA_BITS) - 1
+        return cls(n, {(_staircase(n, s >> _BETA_BITS), s & low): c for s, c in slots.items()})
 
     @classmethod
     def beta(cls, n: int) -> "FlagRingElement":
@@ -244,12 +254,14 @@ class FlagRingElement(poly.SparseTerms):
         def coded(x):  # the code of a product monomial is the sum of codes
             return [(_encode(m, width), sum(m), be, c) for (m, be), c in x._terms.items()]
 
-        b = coded(other)
-        return FlagRingElement(n, poly._collect(
-            ((sm, ba + bb), ca * cb * sc)
-            for ka, da, ba, ca in coded(self)
+        a, b = coded(self), coded(other)
+        if max((x[2] for x in a), default=0) + max((x[2] for x in b), default=0) >> _BETA_BITS:
+            raise ValueError("a beta exponent of the product does not fit in a slot")
+        return FlagRingElement.from_slots(n, poly._collect(
+            (slot + ba + bb, ca * cb * sc)
+            for ka, da, ba, ca in a
             for kb, db, bb, cb in b if da + db <= n * (n - 1) // 2
-            for sm, sc in _reduce_code(n, ka + kb).items()
+            for slot, sc in _reduce_code(n, ka + kb)
         ))
 
     __rmul__ = __mul__
@@ -320,7 +332,7 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
     """Image of a y-free polynomial in the quotient ring.
 
     Raises ValueError if p mentions any y variable or any x_i with
-    i > n.
+    i > n, or has a beta exponent that does not fit in a slot.
     """
     if p.max_y_index():
         raise ValueError("polynomial mentions y variables; substitute them first")
@@ -328,10 +340,12 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
         raise ValueError(
             f"polynomial mentions x{p.max_x_index()} but the ring has n={n}"
         )
-    return FlagRingElement(n, poly._collect(
-        ((sm, be), c * sc)
+    if max((be for _, _, be in p.terms()), default=0) >> _BETA_BITS:
+        raise ValueError("a beta exponent of the polynomial does not fit in a slot")
+    return FlagRingElement.from_slots(n, poly._collect(
+        (slot + be, c * sc)
         for (xe, _, be), c in p.terms().items()
-        for sm, sc in _reduce_exps(n, xe).items()
+        for slot, sc in _reduce_exps(n, xe)
     ))
 
 
@@ -343,9 +357,9 @@ def _phi_row(n: int, i: int, m: tuple[int, ...]) -> tuple[int, ...]:
     """Normal form of the beta-sign-flipped phi_i(x^m), for a staircase
     monomial x^m, as a flat (slot, coeff, ..) tuple."""
     terms = poly._collect(
-        ((_index(sm) << _BETA_BITS) + k, (-s if k else s) * sc)
+        (slot + k, (-s if k else s) * sc)
         for x, k, s in betapoly._phi_images(m, i)
-        for sm, sc in _reduce_exps(n, x).items()
+        for slot, sc in _reduce_exps(n, x)
     )
     return tuple(v for item in terms.items() for v in item)
 
@@ -404,30 +418,30 @@ def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
 
 
 def clear_caches() -> None:
-    """Empty every memo of the engine: the staircase monomials,
-    rewriting relations and monomial codes, monomial reduction, the rows
-    of phi_i on the staircase basis, Schubert classes and their leads,
-    the double beta-polynomial family, the substitution tables
-    of the formal group law, and the reduced Deligne-Lusztig monomial
-    images with the pair forms of the family members they are summed
-    over, the staircase products and product layouts they are built
+    """Empty every memo of the engine: the staircase monomials and the
+    inverse of their index, rewriting relations and monomial codes,
+    monomial reduction, the rows of phi_i on the staircase basis,
+    Schubert classes and their leads, the double beta-polynomial family,
+    the substitution tables of the formal group law, and the reduced
+    Deligne-Lusztig monomial images with the pair forms of the family
+    members they are summed over, the product layouts they are built
     from, and the slots they store.
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
     3,015 and 28,786 reduced monomials).  The images grow with every
-    (n, q) asked for: all 120 classes of S_5 at q = 2, 3, 5 leave
-    24,495 images with 174,767 entries in those rows, and the pair forms
-    of the 120 members 111,861 terms; the row of images at q = 1 that
-    every q reads its point images from (746 images, 1,681 entries), the
-    staircase products (181), layouts (5) and slots (482) do not grow
-    with q.
+    (n, q): all 120 classes of S_5 at q = 2, 3, 5 leave 24,495 images
+    with 174,767 entries, and pair forms of 111,861 terms.  The images
+    at q = 1 (746, with 1,681 entries), the reduced monomials (667,
+    1,673 slot pairs), decoded indices (120) and layouts (5) do not
+    grow with q, and the slots (482) stay below n! (n(n-1)/2 + 1).
     Such a process peaks at about 45 MB resident, against about 32 MB
     when every class was expanded term by term.
     """
     from . import dlclass, fgl  # imported here: both import this module
 
     staircase_monomials.cache_clear()
+    _staircase.cache_clear()
     _h_exponents.cache_clear()
     _coding.cache_clear()
     _h_offsets.cache_clear()
@@ -439,7 +453,6 @@ def clear_caches() -> None:
     betapoly.clear_cache()
     dlclass._IMAGES.clear()
     dlclass._PAIR_FORMS.clear()
-    dlclass._TIMES.clear()
     dlclass._layout.cache_clear()
     dlclass._slots.cache_clear()
 

@@ -3,7 +3,7 @@ import json
 import random
 import warnings
 import weakref
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -26,8 +26,10 @@ from dlschubert.dlclass import (
 )
 from dlschubert.flagring import (
     FlagRingElement,
+    _leads,
     normal_form,
     point_coefficient,
+    schubert_class,
     staircase_monomials,
 )
 
@@ -289,12 +291,48 @@ def test_ck_element_does_not_depend_on_memo_history():
     # reversed, with q changing from one class to the next
     backward = [(w, q) for w in reversed(ws) for q in reversed(qs)]
     clear_caches()
+    classes = {w: schubert_class(w, 4) for w in ws}
+    clear_caches()
     first = {(w, q): _ck_element(w, 4, q) for w, q in forward}
     clear_caches()
     assert {(w, q): _ck_element(w, 4, q) for w, q in backward} == first
     assert {(w, q): _ck_element(w, 4, q) for w, q in forward} == first
     clear_caches()
     assert {(w, q): _ck_element(w, 4, q) for w, q in forward} == first
+    # the basis and the images reduce monomials through one shared memo:
+    # build the basis before every class, and after all of them
+    clear_caches()
+    _leads(4)
+    assert {w: schubert_class(w, 4) for w in ws} == classes
+    assert {(w, q): _ck_element(w, 4, q) for w, q in forward} == first
+    clear_caches()
+    assert {(w, q): _ck_element(w, 4, q) for w, q in backward} == first
+    _leads(4)
+    assert {w: schubert_class(w, 4) for w in ws} == classes
+
+
+def test_ck_coefficients_are_polynomials_in_q():
+    # q enters only through C(q, i), i < n, so each coefficient is a
+    # polynomial in q of degree at most d = n(n-1)/2: its (d+1)-th finite
+    # difference over q = 2..d+3 vanishes, and its Newton interpolant on
+    # q = 2..d+2 gives the class at a large q
+    big = 10**9 + 7
+    for n in (3, 4):
+        d = n * (n - 1) // 2
+        for w in perm.all_permutations(n):
+            values = [_ck_element(w, n, q).terms() for q in range(2, d + 4)]
+            expected = {}
+            for key in set().union(*values):
+                diffs = [v.get(key, 0) for v in values]
+                newton = []  # the forward differences at q = 2
+                while diffs:
+                    newton.append(diffs[0])
+                    diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                assert newton[d + 1] == 0, (w, key)
+                c = sum(comb(big - 2, k) * newton[k] for k in range(d + 1))
+                if c:
+                    expected[key] = c
+            assert _ck_element(w, n, big).terms() == expected, w
 
 
 def test_ck_element_follows_the_family_entry():

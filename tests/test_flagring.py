@@ -82,6 +82,40 @@ def test_normal_form_rejects():
         normal_form(B.y(1), 2)
     with pytest.raises(ValueError):
         normal_form(B.x(3), 2)
+    # a beta exponent must fit below the staircase index of a slot
+    with pytest.raises(ValueError):
+        normal_form(B.term(1, beta=1 << 16), 2)
+    with pytest.raises(ValueError):
+        F.from_scalar(2, {1 << 15: 1}) * F.from_scalar(2, {1 << 15: 1})
+    top = (1 << 16) - 1
+    assert normal_form(B.term(1, beta=top), 2) == F.from_scalar(2, {top: 1})
+
+
+def test_element_arithmetic_at_n12(monkeypatch):
+    # the 12! staircase monomials of n = 12 cannot be listed, so decoding
+    # a slot must not list them; in the ring x1 = -e_1(x2..x12) and
+    # x1^3 = -e_3(x2..x12), whose terms times x12^2 stay on the staircase
+    listed = flagring.staircase_monomials
+
+    def small_only(n):
+        assert n < 12, "staircase_monomials(12) listed"
+        return listed(n)
+
+    monkeypatch.setattr(flagring, "staircase_monomials", small_only)
+    n = 12
+
+    def term(*indices):  # x_(k+1) for each k of indices, times beta^0
+        exps = [0] * n
+        for k in indices:
+            exps[k] += 1
+        return (tuple(exps), 0)
+
+    assert F.x_gen(n, 1) == F(n, {term(k): -1 for k in range(1, n)})
+    assert F.x_gen(n, 1) * F.x_gen(n, n) == F(n, {term(k, n - 1): -1 for k in range(1, n)})
+    triples = itertools.combinations(range(1, n), 3)
+    cubes = {term(a, b, c, n - 1, n - 1): -1 for a, b, c in triples}
+    assert len(cubes) == 165
+    assert normal_form(B.term(1, x=(3,) + (0,) * (n - 2) + (2,)), n) == F(n, cubes)
 
 
 def test_normal_form_is_ring_map():
@@ -324,6 +358,16 @@ def _reduce_reference(n, exps, memo):
     return out
 
 
+def _reduced(n, exps):
+    """_reduce_exps(n, exps), a tuple of distinct nonzero slots at beta
+    exponent 0, decoded as {staircase exps: coeff}."""
+    reduced = _reduce_exps(n, exps)
+    assert isinstance(reduced, tuple) and len(dict(reduced)) == len(reduced)
+    terms = F.from_slots(n, dict(reduced))._terms
+    assert len(terms) == len(reduced) and all(be == 0 for _, be in terms)
+    return {m: c for (m, _), c in terms.items()}
+
+
 def test_reduce_matches_reference_rewriting():
     clear_caches()  # start _reduce_exps from an empty memo
     for n in range(1, 5):
@@ -333,10 +377,10 @@ def test_reduce_matches_reference_rewriting():
         # ascending order the reference finds every rewritten monomial memoized
         for m in itertools.product(range(top + 3), repeat=n):
             if sum(m) <= top + 2:
-                assert _reduce_exps(n, m) == _reduce_reference(n, m, memo), m
+                assert _reduced(n, m) == _reduce_reference(n, m, memo), m
     # above the top degree n(n-1)/2 every monomial vanishes at once
-    assert _reduce_exps(5, (7, 0, 0, 0, 0)) == {}
-    assert _reduce_exps(4, (8, 0, 0, 0)) == {}
+    assert _reduce_exps(5, (7, 0, 0, 0, 0)) == ()
+    assert _reduce_exps(4, (8, 0, 0, 0)) == ()
 
 
 def test_code_width_follows_n():
@@ -349,7 +393,7 @@ def test_code_width_follows_n():
         for a, b in itertools.product(range(top + 1), repeat=2):
             if a + b <= top:
                 m = (0,) * (n - 2) + (a, b)
-                assert _reduce_exps(n, m) == _reduce_reference(n, m, memo), m
+                assert _reduced(n, m) == _reduce_reference(n, m, memo), m
 
 
 def test_top_degree_monomials_are_signed_points():
@@ -363,10 +407,10 @@ def test_top_degree_monomials_are_signed_points():
             if sum(e) != top:
                 continue
             if len(set(e)) < n:
-                assert _reduce_exps(n, e) == {}, e
+                assert _reduced(n, e) == {}, e
             else:
                 sign = (-1) ** perm.length(tuple(i + 1 for i in e))
-                assert _reduce_exps(n, e) == {staircase: sign}, e
+                assert _reduced(n, e) == {staircase: sign}, e
 
 
 def test_clear_caches():
@@ -376,7 +420,7 @@ def test_clear_caches():
     table = fgl.pair_table(3, 5, 1, 1)
     element = dlclass._ck_element((1, 2, 3), 3, 5)
     cls = schubert_class((1, 2, 3), 3)
-    assert dlclass._IMAGES and dlclass._PAIR_FORMS and dlclass._TIMES
+    assert dlclass._IMAGES and dlclass._PAIR_FORMS
     assert (3, 1) in dlclass._IMAGES and dlclass._slots(3)
     assert flagring._phi_row.cache_info().currsize
     clear_caches()
@@ -384,11 +428,11 @@ def test_clear_caches():
     assert not betapoly._FAMILY
     assert not dlclass._IMAGES
     assert not dlclass._PAIR_FORMS
-    assert not dlclass._TIMES
     for cached in (
         schubert_class,
         _leads,
         staircase_monomials,
+        flagring._staircase,
         _h_exponents,
         flagring._coding,
         flagring._h_offsets,
