@@ -132,8 +132,8 @@ def divided_difference(i: int, p: BetaPolynomial) -> BetaPolynomial:
     return BetaPolynomial(out)
 
 
-# per-process family cache; values are immutable, concurrent duplicate
-# insertion is harmless
+# per-process family cache, write-once: values are immutable and an
+# entry is never replaced, so of two concurrent computations one wins
 _FAMILY: dict[tuple[int, Permutation], BetaPolynomial] = {}
 
 
@@ -159,8 +159,7 @@ def double_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
     else:
         i = perm.right_ascents(w)[0]
         value = divided_difference(i, double_beta_polynomial(perm.times_s(w, i), n))
-    _FAMILY[(n, w)] = value
-    return value
+    return _FAMILY.setdefault((n, w), value)
 
 
 def clear_cache() -> None:
@@ -168,9 +167,14 @@ def clear_cache() -> None:
 
 
 def prime_cache(w, n: int | None, value: BetaPolynomial) -> None:
-    """Install a precomputed family member (e.g. loaded from disk)."""
+    """Install a precomputed family member, write-once.
+
+    value must be what double_beta_polynomial(w, n) would compute, such
+    as a disk entry that passed PolynomialCache.get; a member already
+    in the family is kept, so every memo built from one is a function
+    of (w, n) alone."""
     w, n = _resolve(w, n)
-    _FAMILY[(n, w)] = value
+    _FAMILY.setdefault((n, w), value)
 
 
 def double_schubert(w, n: int | None = None) -> BetaPolynomial:

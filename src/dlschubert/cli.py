@@ -64,13 +64,16 @@ def cmd_betapoly(args) -> int:
 
 def cmd_dlclass(args) -> int:
     w, n = betapoly._resolve(perm.parse_permutation(args.w), args.n)
-    theory = args.theory.upper()
+    query = dlclass.DLQuery(w, n, args.q, args.theory.upper())
+    # refuse before any work: nothing is computed or cached for a bad query
+    query.validate(strict=args.strict)
+    if args.kim and query.theory != "CH":
+        raise CLIError(3, "--kim is defined for Chow classes only; pass --theory ch")
     store = _cache_store(args)
     if store is not None:
         _family_polynomial(perm.compose(w, perm.longest_element(n)), n, store)
-    query = dlclass.DLQuery(w, n, args.q, theory)
-    result = dlclass.dl_class(query, strict=args.strict)
-    kim = dlclass.kim_convention(result) if args.kim else None
+    result = dlclass._dl_class(query)
+    kim = dlclass.kim_transform(result.element) if args.kim else None
     if args.format == "json":
         data = result.to_json()
         if kim is not None:

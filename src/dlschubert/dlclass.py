@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from math import exp, factorial, isqrt, log, prod
 
@@ -225,10 +224,6 @@ class DLResult:
 # The row (n, 1) holds the images at q = 1, the reduced monomials x^a:
 # every q reads its point images from there.
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-# _PAIR_FORMS[(n, v)] = (weak reference to the family member of v, its
-# pair form); it notices a replaced or rebuilt member without keeping a
-# member alive that betapoly.clear_cache() dropped
-_PAIR_FORMS: dict[tuple[int, Permutation], tuple[weakref.ref, tuple[int, ...]]] = {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,6 +233,7 @@ def _slots(n: int) -> dict[int, int]:
     return {}
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
     """The beta-sign-flipped double beta-polynomial of v as a flat tuple
     (pair code, beta exponent, coeff, ..), leaving out the terms whose
@@ -246,16 +242,13 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
     Pair i of a term x^a y^b beta^e is (a_i, b_{n+1-i}); the pairs are
     encoded in base n, which is injective because a term with some
     a_i + b_{n+1-i} >= n maps to 0 (x_i^n = 0) and is left out, as is a
-    term of x-degree above n(n-1)/2.  The form is rebuilt whenever the
-    family's entry for v is no longer the member it was built from.
+    term of x-degree above n(n-1)/2.  A family member never changes
+    once read (betapoly.prime_cache is write-once), so the form is a
+    function of (v, n); the memo keeps the form, not the member.
     """
-    member = betapoly.double_beta_polynomial(v, n)
-    cached = _PAIR_FORMS.get((n, v))
-    if cached is not None and cached[0]() is member:
-        return cached[1]
     top = n * (n - 1) // 2
     form: list[int] = []
-    for (xe, ye, be), c in member.terms().items():
+    for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
         if sum(xe) + sum(ye) > top:
             continue
         xe = xe + (0,) * (n - len(xe))
@@ -268,9 +261,7 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
             code = (code * n + a) * n + b
         else:
             form += (code, be, -c if be % 2 else c)  # flip_beta_sign
-    packed = tuple(form)
-    _PAIR_FORMS[(n, v)] = (weakref.ref(member), packed)
-    return packed
+    return tuple(form)
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,20 +343,17 @@ def _build(n: int, q: int, code: int) -> tuple[int, ...]:
     return image
 
 
-def _point_image(n: int, q: int, code: int) -> tuple[int, ...] | None:
-    """The image of a pair code of x-degree n(n-1)/2, or None if the
-    code's x-degree is lower: only the lowest entry q^a (-1)^b t^(a+b)
-    of each pair table stays within the top degree, so the image is
-    q^|a| (-1)^|b| times the image of x^(a+b) at q = 1, the reduced
-    monomial x^(a+b), read from _IMAGES[(n, 1)]."""
+def _point_image(n: int, q: int, code: int) -> tuple[int, ...]:
+    """The image of a pair code of x-degree n(n-1)/2: only the lowest
+    entry q^a (-1)^b t^(a+b) of each pair table stays within the top
+    degree, so the image is q^|a| (-1)^|b| times the image of x^(a+b)
+    at q = 1, the reduced monomial x^(a+b), read from _IMAGES[(n, 1)]."""
     sa = sb = low = 0  # low: the code of x^(a+b), pairs (a_i + b_i, 0)
     rest, place = code, n
     while rest:
         rest, pair = divmod(rest, n * n)
         a, b = divmod(pair, n)
         sa, sb, low, place = sa + a, sb + b, low + (a + b) * place, place * n * n
-    if sa + sb < n * (n - 1) // 2:
-        return None
     flat = _IMAGES.setdefault((n, 1), {0: (0, 1)}).get(low)
     if flat is None:
         flat = _build(n, 1, low)
@@ -381,8 +369,7 @@ def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
     form = _pair_form(v, n)
     images = _IMAGES.setdefault((n, q), {0: (0, 1)})
     # a term of the member, homogeneous of degree length(v), has x-degree
-    # n(n-1)/2 iff its beta exponent is `point`; a primed member need not
-    # be homogeneous, so _point_image checks the code as well
+    # n(n-1)/2 iff its beta exponent is `point`
     point = n * (n - 1) // 2 - perm.length(v)
     acc: dict[int, int] = {}
     get = acc.get
@@ -390,9 +377,9 @@ def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
     for code, be, c in zip(it, it, it):
         image = images.get(code)
         if image is None:
-            if be != point or (image := _point_image(n, q, code)) is None:
-                image = _build(n, q, code)
-            images[code] = image
+            image = images[code] = (
+                _point_image(n, q, code) if be == point else _build(n, q, code)
+            )
         pairs = iter(image)
         for slot, ic in zip(pairs, pairs):
             slot += be
@@ -410,6 +397,11 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
     Schubert classes.
     """
     query.validate(strict=strict)
+    return _dl_class(query)
+
+
+def _dl_class(query: DLQuery) -> DLResult:
+    """dl_class of a query that has been validated."""
     element = _ck_element(query.w, query.n, query.q)
     expansion = schubert_expand(element)
     meta = {

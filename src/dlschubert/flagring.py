@@ -422,10 +422,10 @@ def clear_caches() -> None:
     inverse of their index, rewriting relations and monomial codes,
     monomial reduction, the rows of phi_i on the staircase basis,
     Schubert classes and their leads, the double beta-polynomial family,
-    the substitution tables of the formal group law, and the reduced
-    Deligne-Lusztig monomial images with the pair forms of the family
-    members they are summed over, the product layouts they are built
-    from, and the slots they store.
+    the substitution tables of the formal group law, the reduced
+    Deligne-Lusztig monomial images, the product layouts they are built
+    from and the slots they store, and the pair forms of the family
+    members they are summed over, a memo of (v, n).
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
@@ -452,7 +452,7 @@ def clear_caches() -> None:
     _leads.cache_clear()
     betapoly.clear_cache()
     dlclass._IMAGES.clear()
-    dlclass._PAIR_FORMS.clear()
+    dlclass._pair_form.cache_clear()
     dlclass._layout.cache_clear()
     dlclass._slots.cache_clear()
 

@@ -408,7 +408,7 @@ def sorted_terms(p: BetaPolynomial) -> list[tuple[tuple[int, ...], tuple[int, ..
     ]
 
 
-def format_terms(entries, fmt: str, xsym: str = "x", ysym: str = "y") -> str:
+def format_terms(entries, fmt: str) -> str:
     """Shared pretty-printer; entries are (x_exp, y_exp, beta_exp, coeff)
     already in output order."""
     if fmt == "plain":
@@ -423,7 +423,7 @@ def format_terms(entries, fmt: str, xsym: str = "x", ysym: str = "y") -> str:
     parts: dict[tuple[str, tuple[int, ...]], str] = {}
     for xe, ye, be, c in entries:
         factors = [beta] if be == 1 else [beta_pow % be] if be > 1 else []
-        for sym, exps in ((xsym, xe), (ysym, ye)):
+        for sym, exps in (("x", xe), ("y", ye)):
             part = parts.get((sym, exps))
             if part is None:
                 part = parts[(sym, exps)] = joiner.join(

@@ -482,6 +482,46 @@ def test_dlclass_prewarms_family_cache(capsys, tmp_path):
     assert (tmp_path / "double-beta_n2_w2-1.json").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ("--q", "1"),
+    ("--q", "6", "--strict"),
+    ("--q", "2", "--kim", "--theory", "ck"),
+    ("--q", "2", "--kim", "--theory", "k0"),
+])
+def test_dlclass_refuses_before_computing(capsys, tmp_path, extra):
+    # an inadmissible query computes no family member and caches nothing
+    betapoly.clear_cache()
+    code, out, err = run_cli(
+        capsys, "dlclass", "--w", "[2,1,3,4]", *extra, "--cache-dir", str(tmp_path),
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+    assert not betapoly._FAMILY
+
+
+# all of S_3, the identity of S_4 and two classes with larger members
+CACHE_BYTES_WS = sorted(perm.all_permutations(3)) + [
+    (1, 2, 3, 4), (2, 1, 3, 4), (4, 1, 3, 2),
+]
+
+
+def test_dlclass_cache_changes_no_byte(capsys, tmp_path):
+    # no cache, a cold cache and a warm one print the same bytes, also
+    # when the family already holds the member the cache would install
+    for i, w in enumerate(CACHE_BYTES_WS):
+        for q in ("2", "3"):
+            for theory in ("ck", "ch", "k0"):
+                args = ("dlclass", "--w", perm.format_permutation(w), "--q", q,
+                        "--theory", theory, "--expand", "--format", "json")
+                cache_dir = str(tmp_path / f"{i}-{q}-{theory}")
+                plain = run_cli(capsys, *args)
+                cold = run_cli(capsys, *args, "--cache-dir", cache_dir)
+                warm = run_cli(capsys, *args, "--cache-dir", cache_dir)
+                assert plain[0] == 0
+                assert cold == plain and warm == plain, (w, q, theory)
+
+
 def test_cache_clear(capsys, tmp_path):
     run_cli(capsys, "betapoly", "--w", "[2,1]", "--cache-dir", str(tmp_path))
     code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))

@@ -420,14 +420,13 @@ def test_clear_caches():
     table = fgl.pair_table(3, 5, 1, 1)
     element = dlclass._ck_element((1, 2, 3), 3, 5)
     cls = schubert_class((1, 2, 3), 3)
-    assert dlclass._IMAGES and dlclass._PAIR_FORMS
+    assert dlclass._IMAGES and dlclass._pair_form.cache_info().currsize
     assert (3, 1) in dlclass._IMAGES and dlclass._slots(3)
     assert flagring._phi_row.cache_info().currsize
     clear_caches()
     assert not flagring._REDUCE_MEMO
     assert not betapoly._FAMILY
     assert not dlclass._IMAGES
-    assert not dlclass._PAIR_FORMS
     for cached in (
         schubert_class,
         _leads,
@@ -440,6 +439,7 @@ def test_clear_caches():
         fgl.pair_table,
         dlclass._slots,
         dlclass._layout,
+        dlclass._pair_form,
     ):
         assert cached.cache_info().currsize == 0
     assert fgl.pair_table(3, 5, 1, 1) == table
