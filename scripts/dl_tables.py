@@ -17,12 +17,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-from dlschubert import dlclass, perm
+from dlschubert import betapoly, dlclass, perm
 
 
 @dataclass(frozen=True)
 class TableConfig:
-    n: int
+    n: int | None
     q: int
     theory: str
     w: tuple[int, ...] | None
@@ -32,7 +32,12 @@ class TableConfig:
 
 def parse_args(argv: list[str]) -> TableConfig:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=3, help="rank of the flag variety")
+    ap.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help="rank of the flag variety (default: the length of --w, else 3)",
+    )
     ap.add_argument("--q", type=int, default=2, help="size of the base field")
     ap.add_argument(
         "--theory",
@@ -69,18 +74,26 @@ def emit_text(result: dlclass.DLResult, out) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    if cfg.w is None:
-        ws = sorted(perm.all_permutations(cfg.n))
-    else:
-        ws = [cfg.w]
-    if not cfg.as_json:
-        print(f"# theory={cfg.theory} n={cfg.n} q={cfg.q} classes={len(ws)}")
-    for w in ws:
-        result = dlclass.dl_class(dlclass.DLQuery(w, cfg.n, cfg.q, cfg.theory), cfg.strict)
-        if cfg.as_json:
-            print(json.dumps(result.to_json(), sort_keys=True))
+    try:
+        if cfg.w is None:
+            n = 3 if cfg.n is None else cfg.n
+            ws = sorted(perm.all_permutations(n))
         else:
-            emit_text(result, sys.stdout)
+            # n from w, and a shorter w embedded with fixed points, as in
+            # `dlschubert dlclass`
+            w, n = betapoly._resolve(cfg.w, cfg.n)
+            ws = [w]
+        if not cfg.as_json:
+            print(f"# theory={cfg.theory} n={n} q={cfg.q} classes={len(ws)}")
+        for w in ws:
+            result = dlclass.dl_class(dlclass.DLQuery(w, n, cfg.q, cfg.theory), cfg.strict)
+            if cfg.as_json:
+                print(json.dumps(result.to_json(), sort_keys=True))
+            else:
+                emit_text(result, sys.stdout)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -24,14 +24,15 @@ table, by one product kernel that shifts slots while a product stays in
 the staircase and reads the others from flagring's memo of reduced
 monomials, which the Schubert basis and the ring product read too.  At
 x-degree n(n-1)/2 only the lowest entry q^a (-1)^b t^(a+b) of each pair
-table counts (the others pass the top degree), so the image is
-q^|a| (-1)^|b| times the reduced monomial x^(a+b), which is the image
-of x^(a+b) at q = 1 ([1]t = t), kept in the row _IMAGES[(n, 1)] that
-every q shares.  A class is the sparse sum
-c * beta^e * image over the terms of the member of w.w0, read from a
-memoized "pair form" of that member; the sum of reduced images is
-already in normal form, so no class is reduced as a whole.  The images
-are the engine's largest memo; flagring.clear_caches() empties them.
+table counts (the others pass the top degree), so the image of such a
+term is q^|a| (-1)^|b| times the reduced monomial x^(a+b), a multiple
+of the point monomial: the top-degree terms of a member fold into one
+polynomial in q, its point part.  A class is the sparse sum
+c * beta^e * image over the lower terms of the member of w.w0, read from
+a memoized "pair form" of that member, plus its point part at q; the
+sum of reduced images is already in normal form, so no class is reduced
+as a whole.  The images are the engine's largest memo;
+flagring.clear_caches() empties them.
 The family itself is built in the free ring first: the formal inverse
 exists only in the quotient ring, so the x-arguments must never be
 reduced while it is being assembled.
@@ -50,12 +51,12 @@ import warnings
 from dataclasses import dataclass, field
 from math import exp, factorial, isqrt, log, prod
 
-from . import betapoly, fgl, flagring, perm
+from . import betapoly, fgl, flagring, perm, poly
 from .flagring import (
     _BETA_BITS,
     FlagRingElement,
     SchubertExpansion,
-    normal_form,  # noqa: F401  (public name of this module; perfbench traces it)
+    normal_form,
     schubert_expand,
     staircase_monomials,
 )
@@ -219,10 +220,9 @@ class DLResult:
 
 # Images of the substitution, one per (n, q, monomial), reduced once:
 # _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff, slot, coeff,
-# ..) where slot = staircase index << _BETA_BITS | beta exponent; with
-# a code below x-degree n(n-1)/2 it holds the base _build made it from.
-# The row (n, 1) holds the images at q = 1, the reduced monomials x^a:
-# every q reads its point images from there.
+# ..) where slot = staircase index << _BETA_BITS | beta exponent, for a
+# code below x-degree n(n-1)/2, with the bases _build made it from; the
+# top-degree terms never reach it (they fold into _pair_form's point).
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
 
@@ -234,23 +234,29 @@ def _slots(n: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
-    """The beta-sign-flipped double beta-polynomial of v as a flat tuple
-    (pair code, beta exponent, coeff, ..), leaving out the terms whose
-    image vanishes.
+def _pair_form(v: Permutation, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The beta-sign-flipped double beta-polynomial of v as (form, point).
 
-    Pair i of a term x^a y^b beta^e is (a_i, b_{n+1-i}); the pairs are
-    encoded in base n, which is injective because a term with some
-    a_i + b_{n+1-i} >= n maps to 0 (x_i^n = 0) and is left out, as is a
-    term of x-degree above n(n-1)/2.  A family member never changes
-    once read (betapoly.prime_cache is write-once), so the form is a
-    function of (v, n); the memo keeps the form, not the member.
+    form is a flat tuple (pair code, beta exponent, coeff, ..) of the
+    terms below x,y-degree n(n-1)/2.  Pair i of a term x^a y^b beta^e is
+    (a_i, b_{n+1-i}); the pairs are encoded in base n, which is
+    injective because a term with some a_i + b_{n+1-i} >= n maps to 0
+    (x_i^n = 0) and is left out, as is a term of x,y-degree above
+    n(n-1)/2.  A term c x^a y^b of x,y-degree n(n-1)/2 maps to
+    q^|a| (-1)^|b| c s times the point monomial, s its coefficient in the
+    reduced monomial of the pair sums; point[k] sums (-1)^|b| c s over
+    these terms with |a| = k.  A family member never changes once read
+    (betapoly.prime_cache is write-once), so the form is a function of
+    (v, n); the memo keeps the form, not the member.
     """
     top = n * (n - 1) // 2
     form: list[int] = []
+    point = [0] * (top + 1)
     for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
-        if sum(xe) + sum(ye) > top:
+        degree = sum(xe) + sum(ye)
+        if degree > top:
             continue
+        c = -c if be % 2 else c  # flip_beta_sign
         xe = xe + (0,) * (n - len(xe))
         ye = ye + (0,) * (n - len(ye))
         code = 0
@@ -260,13 +266,19 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
                 break
             code = (code * n + a) * n + b
         else:
-            form += (code, be, -c if be % 2 else c)  # flip_beta_sign
-    return tuple(form)
+            if degree < top:
+                form += (code, be, c)
+            else:
+                sums = tuple(xe[i] + ye[n - 1 - i] for i in range(n))
+                for _, s in flagring._reduce_exps(n, sums):
+                    point[sum(xe)] += -c * s if sum(ye) % 2 else c * s
+    return tuple(form), tuple(point)
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(n: int, j: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
-    """(step, unit, rows) for multiplying by powers of x_{j+1} in S_n.
+def _layouts(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
+    """(step, unit, rows) for multiplying by powers of x_{j+1} in S_n, at
+    index j = 0..n-1, built in one pass over the staircase.
 
     step is the slot shift and unit the monomial code of one more power
     of x_{j+1}.  rows[index] = (room, most, code) for the staircase
@@ -277,20 +289,21 @@ def _layout(n: int, j: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]
     code + d * unit.
     """
     top, width = n * (n - 1) // 2, flagring._coding(n)[0]
-    rows = []
-    for k in staircase_monomials(n):
-        room, most = j - k[j], top - sum(k)
-        if j == n - 1:
-            most = min(most, room)
-        rows.append((room, most, flagring._encode(k, width)))
-    return factorial(n) // factorial(j + 1) << _BETA_BITS, 1 << j * width, tuple(rows)
+    monomials = [(k, top - sum(k), flagring._encode(k, width)) for k in staircase_monomials(n)]
+    return tuple(
+        (factorial(n) // factorial(j + 1) << _BETA_BITS, 1 << j * width, tuple(
+            (j - k[j], min(most, j - k[j]) if j == n - 1 else most, code)
+            for k, most, code in monomials
+        ))
+        for j in range(n)
+    )
 
 
 def _times(n: int, flat: tuple[int, ...], j: int, table: fgl.Series) -> tuple[int, ...]:
     """Normal form of the flat element `flat` times the univariate table
     `table` ((d, beta exponent, coeff), .. by ascending d) at t = x_{j+1},
     as a flat (slot, coeff, ..) tuple."""
-    step, unit, rows = _layout(n, j)
+    step, unit, rows = _layouts(n)[j]
     reduced = flagring._REDUCE_MEMO.setdefault(n, {})
     low = (1 << _BETA_BITS) - 1
     out: dict[int, int] = {}
@@ -343,47 +356,28 @@ def _build(n: int, q: int, code: int) -> tuple[int, ...]:
     return image
 
 
-def _point_image(n: int, q: int, code: int) -> tuple[int, ...]:
-    """The image of a pair code of x-degree n(n-1)/2: only the lowest
-    entry q^a (-1)^b t^(a+b) of each pair table stays within the top
-    degree, so the image is q^|a| (-1)^|b| times the image of x^(a+b)
-    at q = 1, the reduced monomial x^(a+b), read from _IMAGES[(n, 1)]."""
-    sa = sb = low = 0  # low: the code of x^(a+b), pairs (a_i + b_i, 0)
-    rest, place = code, n
-    while rest:
-        rest, pair = divmod(rest, n * n)
-        a, b = divmod(pair, n)
-        sa, sb, low, place = sa + a, sb + b, low + (a + b) * place, place * n * n
-    flat = _IMAGES.setdefault((n, 1), {0: (0, 1)}).get(low)
-    if flat is None:
-        flat = _build(n, 1, low)
-    scale = -(q**sa) if sb % 2 else q**sa
-    pairs = iter(flat)
-    return tuple(x for slot, c in zip(pairs, pairs) for x in (slot, c * scale))
-
-
 def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
     """The CK class as sum c * beta^e * image(pairs) over the terms of
-    the family member of w.w0; the images are in normal form already."""
+    the family member of w.w0 below the top degree, plus sum_k point[k]
+    q^k at the point monomial; the images are in normal form already."""
     v = perm.compose(w, perm.longest_element(n))
-    form = _pair_form(v, n)
+    form, point = _pair_form(v, n)
     images = _IMAGES.setdefault((n, q), {0: (0, 1)})
-    # a term of the member, homogeneous of degree length(v), has x-degree
-    # n(n-1)/2 iff its beta exponent is `point`
-    point = n * (n - 1) // 2 - perm.length(v)
     acc: dict[int, int] = {}
     get = acc.get
     it = iter(form)
     for code, be, c in zip(it, it, it):
         image = images.get(code)
         if image is None:
-            image = images[code] = (
-                _point_image(n, q, code) if be == point else _build(n, q, code)
-            )
+            image = _build(n, q, code)
         pairs = iter(image)
         for slot, ic in zip(pairs, pairs):
             slot += be
             acc[slot] = get(slot, 0) + c * ic
+    # every top-degree term of the member, homogeneous of degree
+    # length(v), has beta exponent n(n-1)/2 - length(v)
+    slot = (factorial(n) - 1) << _BETA_BITS | n * (n - 1) // 2 - perm.length(v)
+    acc[slot] = get(slot, 0) + sum(c * q**k for k, c in enumerate(point))
     return FlagRingElement.from_slots(n, acc)
 
 
@@ -477,10 +471,13 @@ def kim_transform(a: FlagRingElement) -> FlagRingElement:
     An involution of the ring (elementary symmetric relations are
     preserved); it fixes the point class, since both the variable
     reversal and the negation act on the top degree by the sign of the
-    longest element."""
-    n = a.n
-    xmap = {i: -FlagRingElement.x_gen(n, n + 1 - i) for i in range(1, n + 1)}
-    return a.to_polynomial().substitute(xmap, {})
+    longest element.  On the staircase representative it is a signed
+    reversal, c beta^e x^m -> (-1)^|m| c beta^e x^(reversed m), which one
+    normal form brings back to the staircase."""
+    return normal_form(poly.BetaPolynomial({
+        (poly._strip(m[::-1]), (), be): -c if sum(m) % 2 else c
+        for (m, be), c in a._terms.items()
+    }), a.n)
 
 
 def kim_convention(result: DLResult) -> FlagRingElement:

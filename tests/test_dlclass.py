@@ -198,6 +198,70 @@ def test_identity_point_count_at_large_prime():
     assert point_coefficient(ch.element) == {0: flag_count_oracle(3, q)}
 
 
+def test_identity_pair_form_is_the_flag_count():
+    # the member of w0 has no term below the top degree, and its point
+    # part is the point monomial's coefficient of the identity class as a
+    # polynomial in q: (-1)^(n(n-1)/2) times the q-factorial
+    for n in (1, 2, 3, 4, 5):
+        count = [1]  # coefficients of prod_{i=1..n} (1 + q + .. + q^(i-1))
+        for i in range(2, n + 1):
+            count = [sum(count[max(0, j - i + 1) : j + 1]) for j in range(len(count) + i - 1)]
+        sign = (-1) ** (n * (n - 1) // 2)
+        form, point = dlclass._pair_form(perm.longest_element(n), n)
+        assert form == () and point == tuple(sign * c for c in count), n
+
+
+def test_divisor_k0_class_is_one_minus_line_bundle():
+    # X(w0.s_i) is a divisor D: its Chow class is linear, sum a_j x_j,
+    # and its K0 class is [O_D] = 1 - [O(-D)] = 1 - prod_j (1 - x_j)^(a_j),
+    # each 1 - x_j = [dual M_j] a unit with inverse sum_k x_j^k
+    for n in (2, 3, 4, 5):
+        w0 = perm.longest_element(n)
+        for i in range(1, n):
+            w = perm.times_s(w0, i)
+            for q in (2, 3, 4, 5):
+                ch = dl_class_ch(w, n, q).element
+                k0 = dl_class_k0(w, n, q).element
+                line = F.one(n)
+                for (m, be), a in ch.terms().items():
+                    assert be == 0 and sum(m) == 1, (w, q, m)
+                    x = F.x_gen(n, m.index(1) + 1)
+                    unit = F.one(n) - x if a > 0 else sum((x**k for k in range(1, n)), F.one(n))
+                    line = line * unit ** abs(a)
+                assert k0 == F.one(n) - line, (w, q)
+
+
+def _k0_euler_characteristic(w, n, q):
+    # chi(O_X) = 1 on every Schubert variety, so chi of a class is the sum
+    # of its K0 expansion coefficients
+    coeffs = dl_class_k0(w, n, q).expansion.coefficients
+    return sum(c for scalar in coeffs.values() for c in scalar.values())
+
+
+def test_coxeter_classes_have_euler_characteristic_one():
+    for n in (2, 3, 4, 5):
+        c = perm.word_to_permutation(range(1, n), n)  # s_1 s_2 .. s_(n-1)
+        for w in (c, perm.inverse(c)):
+            for q in (2, 3, 4, 5, 7):
+                assert _k0_euler_characteristic(w, n, q) == 1, (w, q)
+
+
+def test_euler_characteristic_of_w0_s2():
+    # X(w0.s_2) at n = 4 is a divisor with chi = 1 - C(q+2, 5) + C(q, 5),
+    # which is 1 - chi(O_Q(q-3)) on the Pluecker quadric Q
+    w = perm.times_s(perm.longest_element(4), 2)
+    assert w == (4, 2, 3, 1)
+    chis = []
+    for q in range(2, 9):
+        if q == 6:
+            with pytest.warns(NonPrimePowerWarning):
+                chis.append(_k0_euler_characteristic(w, 4, q))
+        else:
+            chis.append(_k0_euler_characteristic(w, 4, q))
+        assert chis[-1] == 1 - comb(q + 2, 5) + comb(q, 5), q
+    assert chis == [1, 0, -5, -19, -49, -104, -195]
+
+
 def _ck_element_by_substitution(w, n, q):
     """Reference route: generic substitution of the q-fold sum and the
     formal inverse, built in the quotient ring, into the whole
