@@ -22,16 +22,20 @@ form, is built once per (n, q, monomial) and memoized as a flat tuple of
 image of the same monomial without its last pair, times that pair's
 table, by one product kernel that shifts slots while a product stays in
 the staircase and reads the others from flagring's memo of reduced
-monomials, which the Schubert basis and the ring product read too.  At
-x-degree n(n-1)/2 only the lowest entry q^a (-1)^b t^(a+b) of each pair
-table counts (the others pass the top degree), so the image of such a
-term is q^|a| (-1)^|b| times the reduced monomial x^(a+b), a multiple
-of the point monomial: the top-degree terms of a member fold into one
-polynomial in q, its point part.  A class is the sparse sum
-c * beta^e * image over the lower terms of the member of w.w0, read from
-a memoized "pair form" of that member, plus its point part at q; the
-sum of reduced images is already in normal form, so no class is reduced
-as a whole.  The images are the engine's largest memo;
+monomials, which the Schubert basis and the ring product read too.
+
+The member of v = w.w0 is homogeneous: its beta^e terms have x,y-degree
+length(v) + e.  Where only the lowest entry q^a (-1)^b t^(a+b) of each
+pair table counts, the image of c beta^e x^a y^b is
+c q^|a| (-1)^|b| beta^e times the reduced monomial of the pair sums
+a_i + b_{n+1-i}, so the beta^e terms fold into one polynomial in q per
+staircase monomial (_fold).  That holds at e = n(n-1)/2 - length(v),
+the top degree, where the higher entries pass n(n-1)/2: the fold there
+is the point part of the class.  A CK class is the sparse sum
+c * beta^e * image over the lower terms of the member, read from a
+memoized "pair form" of it, plus its point part at q; the sum of
+reduced images is already in normal form, so no class is reduced as a
+whole.  The images are the engine's largest memo;
 flagring.clear_caches() empties them.
 The family itself is built in the free ring first: the formal inverse
 exists only in the quotient ring, so the x-arguments must never be
@@ -39,6 +43,12 @@ reduced while it is being assembled.
 
 Specializations: beta = 0 recovers the Chow-group class, beta = 1 the
 K-theory class of the structure sheaf (reading c1(L) = 1 - [dual L]).
+Each theory works at its own beta, not by specializing the CK answer.
+At beta = 0 the group law is additive ([q]t = qt, inverse(t) = -t), so
+the CH class is the fold of the member's beta^0 terms alone and builds
+no pair form and no image.  The K0 class is the CK sum with every beta
+exponent dropped.  Both are expanded against the Schubert basis at
+their beta (flagring.schubert_expand).
 q is a concrete integer; Frobenius twists make geometric sense for
 prime powers only, so other q >= 2 raise a warning (an error under
 strict validation).
@@ -50,6 +60,7 @@ import functools
 import warnings
 from dataclasses import dataclass, field
 from math import exp, factorial, isqrt, log, prod
+from operator import mul
 
 from . import betapoly, fgl, flagring, perm, poly
 from .flagring import (
@@ -222,7 +233,8 @@ class DLResult:
 # _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff, slot, coeff,
 # ..) where slot = staircase index << _BETA_BITS | beta exponent, for a
 # code below x-degree n(n-1)/2, with the bases _build made it from; the
-# top-degree terms never reach it (they fold into _pair_form's point).
+# top-degree terms never reach it (they fold into the point part), and
+# CH classes build none.
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
 
@@ -234,27 +246,22 @@ def _slots(n: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_form(v: Permutation, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The beta-sign-flipped double beta-polynomial of v as (form, point).
+def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
+    """The beta-sign-flipped double beta-polynomial of v below x,y-degree
+    n(n-1)/2, as a flat tuple (pair code, beta exponent, coeff, ..).
 
-    form is a flat tuple (pair code, beta exponent, coeff, ..) of the
-    terms below x,y-degree n(n-1)/2.  Pair i of a term x^a y^b beta^e is
+    The member is homogeneous, so these are its terms with beta exponent
+    below n(n-1)/2 - length(v).  Pair i of a term x^a y^b beta^e is
     (a_i, b_{n+1-i}); the pairs are encoded in base n, which is
     injective because a term with some a_i + b_{n+1-i} >= n maps to 0
-    (x_i^n = 0) and is left out, as is a term of x,y-degree above
-    n(n-1)/2.  A term c x^a y^b of x,y-degree n(n-1)/2 maps to
-    q^|a| (-1)^|b| c s times the point monomial, s its coefficient in the
-    reduced monomial of the pair sums; point[k] sums (-1)^|b| c s over
-    these terms with |a| = k.  A family member never changes once read
-    (betapoly.prime_cache is write-once), so the form is a function of
-    (v, n); the memo keeps the form, not the member.
+    (x_i^n = 0) and is left out.  A family member never changes once
+    read (betapoly.prime_cache is write-once), so the form is a function
+    of (v, n); the memo keeps the form, not the member.
     """
-    top = n * (n - 1) // 2
+    top = n * (n - 1) // 2 - perm.length(v)
     form: list[int] = []
-    point = [0] * (top + 1)
     for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
-        degree = sum(xe) + sum(ye)
-        if degree > top:
+        if be >= top:
             continue
         c = -c if be % 2 else c  # flip_beta_sign
         xe = xe + (0,) * (n - len(xe))
@@ -266,13 +273,42 @@ def _pair_form(v: Permutation, n: int) -> tuple[tuple[int, ...], tuple[int, ...]
                 break
             code = (code * n + a) * n + b
         else:
-            if degree < top:
-                form += (code, be, c)
-            else:
-                sums = tuple(xe[i] + ye[n - 1 - i] for i in range(n))
-                for _, s in flagring._reduce_exps(n, sums):
-                    point[sum(xe)] += -c * s if sum(ye) % 2 else c * s
-    return tuple(form), tuple(point)
+            form += (code, be, c)
+    return tuple(form)
+
+
+@functools.lru_cache(maxsize=None)
+def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The beta^e terms of the beta-sign-flipped double beta-polynomial
+    of v, each mapped by the lowest entries of its pair tables, in
+    normal form with coefficients in Z[q]: ((slot at beta exponent 0,
+    coefficients by power of q), ..).
+
+    A term c x^a y^b (x,y-degree length(v) + e) adds (-1)^(e+|b|) c to
+    the q^|a| coefficient of x^s, s_i = a_i + b_{n+1-i}; a term with some
+    s_i >= n is left out (x_i^n = 0).  Each distinct x^s is then reduced
+    once.  This is the whole image at e = 0, the CH class, and at the top
+    degree, e = n(n-1)/2 - length(v), the point part of the CK class.
+    """
+    width, degree = flagring._coding(n)[0], perm.length(v) + e
+    sign = -1 if e % 2 else 1  # flip_beta_sign
+    sums: dict[int, list[int]] = {}
+    for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
+        if be != e:
+            continue
+        xe = xe + (0,) * (n - len(xe))
+        ye = ye + (0,) * (n - len(ye))
+        s = [a + b for a, b in zip(xe, reversed(ye))]
+        if max(s) < n:
+            row = sums.setdefault(flagring._encode(s, width), [0] * (degree + 1))
+            row[sum(xe)] += -sign * c if sum(ye) % 2 else sign * c
+    out: dict[int, list[int]] = {}
+    for code, row in sums.items():
+        for slot, r in flagring._reduce_code(n, code):
+            acc = out.setdefault(slot, [0] * (degree + 1))
+            for k, c in enumerate(row):
+                acc[k] += r * c
+    return tuple((slot, tuple(row)) for slot, row in out.items() if any(row))
 
 
 @functools.lru_cache(maxsize=None)
@@ -356,28 +392,42 @@ def _build(n: int, q: int, code: int) -> tuple[int, ...]:
     return image
 
 
-def _ck_element(w: Permutation, n: int, q: int) -> FlagRingElement:
-    """The CK class as sum c * beta^e * image(pairs) over the terms of
-    the family member of w.w0 below the top degree, plus sum_k point[k]
-    q^k at the point monomial; the images are in normal form already."""
+def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> FlagRingElement:
+    """The class of w as an element, in CK or at beta = 0 or 1.
+
+    In CK it is the sum c * beta^e * image(pairs) over the pair form of
+    the member of w.w0, plus the point part, the fold at the top beta
+    exponent evaluated at q.  At beta = 1 (K0) it is the same sum with
+    every beta exponent dropped.  At beta = 0 (CH) it is the fold of the
+    beta^0 terms alone, with no image.  Images and reduced monomials are
+    in normal form already."""
     v = perm.compose(w, perm.longest_element(n))
-    form, point = _pair_form(v, n)
-    images = _IMAGES.setdefault((n, q), {0: (0, 1)})
+    length = perm.length(v)
+    e = 0 if beta == 0 else n * (n - 1) // 2 - length
     acc: dict[int, int] = {}
     get = acc.get
-    it = iter(form)
-    for code, be, c in zip(it, it, it):
-        image = images.get(code)
-        if image is None:
-            image = _build(n, q, code)
-        pairs = iter(image)
-        for slot, ic in zip(pairs, pairs):
-            slot += be
-            acc[slot] = get(slot, 0) + c * ic
-    # every top-degree term of the member, homogeneous of degree
-    # length(v), has beta exponent n(n-1)/2 - length(v)
-    slot = (factorial(n) - 1) << _BETA_BITS | n * (n - 1) // 2 - perm.length(v)
-    acc[slot] = get(slot, 0) + sum(c * q**k for k, c in enumerate(point))
+    if beta != 0:
+        images = _IMAGES.setdefault((n, q), {0: (0, 1)})
+        index = ~((1 << _BETA_BITS) - 1)  # slot & index: the slot at beta = 1
+        it = iter(_pair_form(v, n))
+        for code, be, c in zip(it, it, it):
+            image = images.get(code)
+            if image is None:
+                image = _build(n, q, code)
+            pairs = iter(image)
+            if beta is None:
+                for slot, ic in zip(pairs, pairs):
+                    slot += be
+                    acc[slot] = get(slot, 0) + c * ic
+            else:
+                for slot, ic in zip(pairs, pairs):
+                    slot &= index
+                    acc[slot] = get(slot, 0) + c * ic
+    shift = e if beta is None else 0
+    powers = [q**k for k in range(length + e + 1)]
+    for slot, row in _fold(v, n, e):
+        slot += shift
+        acc[slot] = get(slot, 0) + sum(map(mul, row, powers))
     return FlagRingElement.from_slots(n, acc)
 
 
@@ -388,7 +438,8 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
     For theory CH (resp. K0) the element and the expansion coefficients
     are the beta = 0 (resp. beta = 1) specializations of the CK result;
     the coefficients then sit on the correspondingly specialized
-    Schubert classes.
+    Schubert classes.  Each is computed at its beta, not from the CK
+    result.
     """
     query.validate(strict=strict)
     return _dl_class(query)
@@ -396,8 +447,9 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
 
 def _dl_class(query: DLQuery) -> DLResult:
     """dl_class of a query that has been validated."""
-    element = _ck_element(query.w, query.n, query.q)
-    expansion = schubert_expand(element)
+    beta = {"CK": None, "CH": 0, "K0": 1}[query.theory]
+    element = _ck_element(query.w, query.n, query.q, beta)
+    expansion = schubert_expand(element, beta)
     meta = {
         "w": perm.format_permutation(query.w),
         "n": query.n,
@@ -405,12 +457,7 @@ def _dl_class(query: DLQuery) -> DLResult:
         "theory": query.theory,
         "conventions": dict(CONVENTIONS),
     }
-    if query.theory == "CH":
-        element = element.specialize_beta(0)
-        expansion = expansion.specialize_beta(0)
-    elif query.theory == "K0":
-        element = element.specialize_beta(1)
-        expansion = expansion.specialize_beta(1)
+    if query.theory == "K0":
         meta["k0_reading"] = (
             "c1(L) = 1 - [dual L]; the x_i slot carries 1 - [dual M_i]^q, "
             "the y_j slot 1 - [M_{n+1-j}]"

@@ -135,7 +135,8 @@ def _h_offsets(n: int, v: int) -> tuple[int, ...]:
 
 
 # n -> {code: normal form as ((slot, coeff), ..) at beta exponent 0}, read
-# by the rows of phi_i, the ring product and dlclass's image kernel
+# by the rows of phi_i, the ring product, dlclass's image kernel and its
+# folds
 _REDUCE_MEMO: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
 
 
@@ -424,18 +425,21 @@ def clear_caches() -> None:
     Schubert classes and their leads, the double beta-polynomial family,
     the substitution tables of the formal group law, the reduced
     Deligne-Lusztig monomial images, the product layouts they are built
-    from and the slots they store, and the pair forms of the family
-    members they are summed over, a memo of (v, n).
+    from and the slots they store, the pair forms of the family members
+    they are summed over, a memo of (v, n), and the folds of the
+    members' beta^e terms into polynomials in q, a memo of (v, n, e).
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
     3,015 and 28,786 reduced monomials).  The images grow with every
-    (n, q): all 120 classes of S_5 at q = 2, 3, 5 leave 18,705 images
-    with 173,243 entries, and pair forms of 89,531 terms.  The reduced
-    monomials (1,398, 1,785 slot pairs), decoded indices (120) and
-    layouts (5) do not grow with q, and the slots (481) stay below
-    n! (n(n-1)/2 + 1).  Such a process peaks at about 44 MB resident,
-    against about 32 MB when every class was expanded term by term.
+    (n, q) of a CK or K0 class: all 120 classes of S_5 at q = 2, 3, 5 in
+    each theory leave 18,705 images with 173,243 entries, and pair forms
+    of 89,531 terms.  The folds (239, with 1,038 slot rows at beta^0 and
+    22 at the top), reduced monomials (2,508, 4,752 slot pairs), decoded
+    indices (120) and layouts (5) do not grow with q, and the slots
+    (481) stay below n! (n(n-1)/2 + 1).  Such a process peaks at about
+    44 MB resident, against about 32 MB when every class was expanded
+    term by term.
     """
     from . import dlclass, fgl  # imported here: both import this module
 
@@ -452,6 +456,7 @@ def clear_caches() -> None:
     betapoly.clear_cache()
     dlclass._IMAGES.clear()
     dlclass._pair_form.cache_clear()
+    dlclass._fold.cache_clear()
     dlclass._layouts.cache_clear()
     dlclass._slots.cache_clear()
 
@@ -522,32 +527,49 @@ class SchubertExpansion:
         return "\n".join(lines)
 
 
-def schubert_expand(a: FlagRingElement) -> SchubertExpansion:
-    """Exact coordinates of a in the Schubert-class basis.
+def schubert_expand(a: FlagRingElement, beta: int | None = None) -> SchubertExpansion:
+    """Exact coordinates of a in the Schubert-class basis, or, at beta = 0
+    or 1, those of a at that beta in the classes at that beta: the
+    result is schubert_expand(a).specialize_beta(beta).
 
     One pass over _leads(n): the coordinate of w is its sign times the
     residual's row at its lead, and subtracting that multiple of the
-    class in place zeroes the row.  A residual left at the end (a term
-    off the staircase) raises SingularTransitionError.
+    class in place zeroes the row.  At beta = 0 only the beta^0 terms of
+    a class are subtracted, at beta = 1 every term at beta exponent 0.
+    The lead of a class is beta-free and a beta^k term has x-degree k
+    above it, so the specialized basis is unitriangular in the same
+    order.  A residual left at the end (a term off the staircase) raises
+    SingularTransitionError.
     """
+    if beta not in (None, 0, 1):
+        raise ValueError(f"beta must be None, 0 or 1, got {beta!r}")
     n = a.n
     residual: dict[tuple[int, ...], BetaScalar] = {}
     for (m, be), c in a._terms.items():
-        residual.setdefault(m, {})[be] = c
-    found: dict[perm.Permutation, BetaScalar] = {}
+        if beta is not None:
+            if be and not beta:
+                continue
+            be = 0
+        row = residual.setdefault(m, {})
+        row[be] = row.get(be, 0) + c
+    found = []
     for lead, w, sign in _leads(n):
         scalar = {be: sign * c for be, c in residual.get(lead, {}).items() if c}
         if not scalar:
             continue
-        found[w] = scalar
+        found.append((sum(lead), w, scalar))  # the lead's degree is length(w)
         for (m, bs), cs in schubert_class(w, n)._terms.items():
+            if beta is not None:
+                if bs and not beta:
+                    continue
+                bs = 0
             row = residual.setdefault(m, {})
             for be, v in scalar.items():
                 row[be + bs] = row.get(be + bs, 0) - v * cs
     if any(c for row in residual.values() for c in row.values()):
         raise SingularTransitionError("expansion left a nonzero residual")
-    coeffs = {w: found[w] for w in sorted(found, key=lambda w: (perm.length(w), w))}
-    return SchubertExpansion(n, coeffs)
+    found.sort(key=lambda f: f[:2])
+    return SchubertExpansion(n, {w: scalar for _, w, scalar in found})
 
 
 def point_coefficient(a: FlagRingElement) -> BetaScalar:

@@ -205,7 +205,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     ],
 )
 def test_computation_failure_exit_code(capsys, monkeypatch, exc):
-    def fake(element):
+    def fake(element, beta=None):
         raise exc
 
     monkeypatch.setattr(cli.dlclass, "schubert_expand", fake)

@@ -7,7 +7,7 @@ from math import comb, isqrt
 
 import pytest
 
-from dlschubert import betapoly, clear_caches, dlclass, fgl, perm, poly
+from dlschubert import betapoly, clear_caches, dlclass, fgl, flagring, perm, poly
 from dlschubert.dlclass import (
     CONVENTIONS,
     DLQuery,
@@ -30,6 +30,7 @@ from dlschubert.flagring import (
     normal_form,
     point_coefficient,
     schubert_class,
+    schubert_expand,
     staircase_monomials,
 )
 
@@ -150,6 +151,54 @@ def test_theory_specializations_agree_with_ck():
         assert dl_class_k0(w, 3, q).element == ck.element.specialize_beta(1)
 
 
+def test_ch_and_k0_at_their_beta_match_ck_specialized_afterwards():
+    # CH and K0 work at their own beta; the reference is the CK element
+    # and the CK expansion, each specialized afterwards
+    for n in (2, 3, 4, 5):
+        for q in (2, 3, 9):
+            for w in perm.all_permutations(n):
+                ck = _ck_element(w, n, q)
+                expansion = schubert_expand(ck)
+                for theory, b in (("CH", 0), ("K0", 1)):
+                    res = dl_class(DLQuery(w, n, q, theory))
+                    assert res.element == ck.specialize_beta(b), (w, q, theory)
+                    want = expansion.specialize_beta(b).coefficients
+                    assert res.expansion.coefficients == want, (w, q, theory)
+                    assert list(res.expansion.coefficients) == list(want), (w, q, theory)
+                    assert schubert_expand(ck, b).coefficients == want, (w, q, theory)
+    with pytest.raises(ValueError):
+        schubert_expand(F.one(2), 2)
+
+
+def test_ch_route_coherence_s4():
+    for q in (2, 3, 5):
+        for w in perm.all_permutations(4):
+            res = dl_class_ch(w, 4, q)
+            direct = chow_class_direct(w, 4, q)
+            assert res.element == direct, (w, q)
+            assert res.expansion.reconstruct().specialize_beta(0) == direct, (w, q)
+
+
+def test_k0_route_coherence_s4():
+    for q in (2, 3):
+        for w in perm.all_permutations(4):
+            res = dl_class_k0(w, 4, q)
+            direct = k0_class_direct(w, 4, q)
+            assert res.element == direct, (w, q)
+            assert res.expansion.reconstruct().specialize_beta(1) == direct, (w, q)
+
+
+def test_ch_classes_build_no_image():
+    # the Chow class is the fold of the member's beta^0 terms: it reads
+    # neither the images nor the pair forms
+    clear_caches()
+    for q in (2, 3):
+        for w in perm.all_permutations(4):
+            dl_class_ch(w, 4, q)
+    assert not dlclass._IMAGES
+    assert dlclass._pair_form.cache_info().currsize == 0
+
+
 def test_flag_count_oracle_frozen():
     expected = {
         (2, 2): 3,
@@ -200,15 +249,18 @@ def test_identity_point_count_at_large_prime():
 
 def test_identity_pair_form_is_the_flag_count():
     # the member of w0 has no term below the top degree, and its point
-    # part is the point monomial's coefficient of the identity class as a
-    # polynomial in q: (-1)^(n(n-1)/2) times the q-factorial
+    # part, the fold at beta exponent 0, is the point monomial's
+    # coefficient of the identity class as a polynomial in q:
+    # (-1)^(n(n-1)/2) times the q-factorial
     for n in (1, 2, 3, 4, 5):
         count = [1]  # coefficients of prod_{i=1..n} (1 + q + .. + q^(i-1))
         for i in range(2, n + 1):
             count = [sum(count[max(0, j - i + 1) : j + 1]) for j in range(len(count) + i - 1)]
         sign = (-1) ** (n * (n - 1) // 2)
-        form, point = dlclass._pair_form(perm.longest_element(n), n)
-        assert form == () and point == tuple(sign * c for c in count), n
+        w0 = perm.longest_element(n)
+        point = (len(staircase_monomials(n)) - 1) << flagring._BETA_BITS
+        assert dlclass._pair_form(w0, n) == (), n
+        assert dlclass._fold(w0, n, 0) == ((point, tuple(sign * c for c in count)),), n
 
 
 def test_divisor_k0_class_is_one_minus_line_bundle():

@@ -440,6 +440,7 @@ def test_clear_caches():
         dlclass._slots,
         dlclass._layouts,
         dlclass._pair_form,
+        dlclass._fold,
     ):
         assert cached.cache_info().currsize == 0
     assert fgl.pair_table(3, 5, 1, 1) == table
