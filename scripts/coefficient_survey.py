@@ -18,19 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from dlschubert import perm, verify
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    n_min: int
-    n_max: int
-    qs: tuple[int, ...]
-
-
-def parse_args(argv: list[str]) -> SurveyConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-min", type=int, default=2)
     ap.add_argument("--n-max", type=int, default=4, help="n=5 works but is slow")
@@ -38,14 +30,14 @@ def parse_args(argv: list[str]) -> SurveyConfig:
     ns = ap.parse_args(argv)
     if ns.n_min < 1 or ns.n_max < ns.n_min:
         ap.error("need 1 <= n-min <= n-max")
-    return SurveyConfig(ns.n_min, ns.n_max, tuple(ns.qs))
+    return ns
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    ns = parse_args(sys.argv[1:] if argv is None else argv)
     saw_negative = False
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        for q in cfg.qs:
+    for n in range(ns.n_min, ns.n_max + 1):
+        for q in ns.qs:
             t0 = time.perf_counter()
             stats = verify.coefficient_survey(n, q)
             dt = time.perf_counter() - t0

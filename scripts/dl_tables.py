@@ -15,22 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from dlschubert import betapoly, dlclass, perm
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    n: int | None
-    q: int
-    theory: str
-    w: tuple[int, ...] | None
-    as_json: bool
-    strict: bool
-
-
-def parse_args(argv: list[str]) -> TableConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--n",
@@ -57,8 +46,7 @@ def parse_args(argv: list[str]) -> TableConfig:
         action="store_true",
         help="reject q that is not a prime power instead of warning",
     )
-    ns = ap.parse_args(argv)
-    return TableConfig(ns.n, ns.q, ns.theory, ns.w, ns.json, ns.strict)
+    return ap.parse_args(argv)
 
 
 def emit_text(result: dlclass.DLResult, out) -> None:
@@ -73,21 +61,21 @@ def emit_text(result: dlclass.DLResult, out) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    ns = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if cfg.w is None:
-            n = 3 if cfg.n is None else cfg.n
+        if ns.w is None:
+            n = 3 if ns.n is None else ns.n
             ws = sorted(perm.all_permutations(n))
         else:
             # n from w, and a shorter w embedded with fixed points, as in
             # `dlschubert dlclass`
-            w, n = betapoly._resolve(cfg.w, cfg.n)
+            w, n = betapoly._resolve(ns.w, ns.n)
             ws = [w]
-        if not cfg.as_json:
-            print(f"# theory={cfg.theory} n={n} q={cfg.q} classes={len(ws)}")
+        if not ns.json:
+            print(f"# theory={ns.theory} n={n} q={ns.q} classes={len(ws)}")
         for w in ws:
-            result = dlclass.dl_class(dlclass.DLQuery(w, n, cfg.q, cfg.theory), cfg.strict)
-            if cfg.as_json:
+            result = dlclass.dl_class(dlclass.DLQuery(w, n, ns.q, ns.theory), ns.strict)
+            if ns.json:
                 print(json.dumps(result.to_json(), sort_keys=True))
             else:
                 emit_text(result, sys.stdout)

@@ -11,22 +11,23 @@ double beta-polynomial of w.w0 and substituting
 inside the quotient ring, where the formal operations use the group law
 a + b - beta*a*b.  Both images of pair i (x_i and y_{n+1-i}) are power
 series in x_i alone, and x_i^n = 0 in the quotient ring, so a factor
-x_i^a y_{n+1-i}^b maps to the truncated univariate table
-([q]t)^a * inverse(t)^b mod t^n at t = x_i (fgl.pair_table).
+x_i^a y_{n+1-i}^b maps to a product of a copies of [q]t and b copies
+of inverse(t), truncated at t^n (fgl.n_times_series and
+fgl.inverse_series) at t = x_i.
 
 The substitution is a ring map, hence linear on the family, and all
 members of S_n together use at most n!^2 distinct monomials.  So the
-image of a monomial, the product of the tables of its n pairs in normal
-form, is built once per (n, q, monomial) and memoized as a flat tuple of
-(staircase slot, coeff) pairs.  One recursive builder makes it: the
-image of the same monomial without its last pair, times that pair's
-table, by one product kernel that shifts slots while a product stays in
-the staircase and reads the others from flagring's memo of reduced
-monomials, which the Schubert basis and the ring product read too.
+image of a monomial is built once per (n, q, monomial) and memoized as
+a flat tuple of (staircase slot, coeff) pairs.  One recursive builder
+makes it: the image of the same monomial with one generator factor
+fewer in its last pair, times that factor's series, by one product
+kernel that shifts slots while a product stays in the staircase and
+reads the others from flagring's memo of reduced monomials, which the
+Schubert basis and the ring product read too.
 
 The member of v = w.w0 is homogeneous: its beta^e terms have x,y-degree
 length(v) + e.  Where only the lowest entry q^a (-1)^b t^(a+b) of each
-pair table counts, the image of c beta^e x^a y^b is
+pair's ([q]t)^a inverse(t)^b counts, the image of c beta^e x^a y^b is
 c q^|a| (-1)^|b| beta^e times the reduced monomial of the pair sums
 a_i + b_{n+1-i}, so the beta^e terms fold into one polynomial in q per
 staircase monomial (_fold).  That holds at e = n(n-1)/2 - length(v),
@@ -280,9 +281,9 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The beta^e terms of the beta-sign-flipped double beta-polynomial
-    of v, each mapped by the lowest entries of its pair tables, in
-    normal form with coefficients in Z[q]: ((slot at beta exponent 0,
-    coefficients by power of q), ..).
+    of v, each pair (a, b) mapped by the lowest entry q^a (-1)^b t^(a+b)
+    of ([q]t)^a inverse(t)^b, in normal form with coefficients in Z[q]:
+    ((slot at beta exponent 0, coefficients by power of q), ..).
 
     A term c x^a y^b (x,y-degree length(v) + e) adds (-1)^(e+|b|) c to
     the q^|a| coefficient of x^s, s_i = a_i + b_{n+1-i}; a term with some
@@ -335,9 +336,9 @@ def _layouts(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
     )
 
 
-def _times(n: int, flat: tuple[int, ...], j: int, table: fgl.Series) -> tuple[int, ...]:
-    """Normal form of the flat element `flat` times the univariate table
-    `table` ((d, beta exponent, coeff), .. by ascending d) at t = x_{j+1},
+def _times(n: int, flat: tuple[int, ...], j: int, series: fgl.Series) -> tuple[int, ...]:
+    """Normal form of the flat element `flat` times the univariate series
+    `series` ((d, beta exponent, coeff), .. by ascending d) at t = x_{j+1},
     as a flat (slot, coeff, ..) tuple."""
     step, unit, rows = _layouts(n)[j]
     reduced = flagring._REDUCE_MEMO.setdefault(n, {})
@@ -347,7 +348,7 @@ def _times(n: int, flat: tuple[int, ...], j: int, table: fgl.Series) -> tuple[in
     pairs = iter(flat)
     for slot, c in zip(pairs, pairs):
         room, most, code = rows[slot >> _BETA_BITS]
-        for d, tb, tc in table:
+        for d, tb, tc in series:
             if d > most:
                 break
             if d <= room:
@@ -374,21 +375,24 @@ def _build(n: int, q: int, code: int) -> tuple[int, ...]:
     (which holds the image of code 0) with the images of the bases it is
     built from.
 
-    It is the image of the base, the code with its last pair (a, b) that
-    is not (0, 0), pair j, set to (0, 0), times fgl.pair_table(n, q, a, b)
-    at x_{j+1}.
+    Pair j is the last pair (a, b) of the code that is not (0, 0).  If
+    a > 0 the image is that of the base with a - 1 there, times [q]t
+    (fgl.n_times_series) at x_{j+1}; otherwise that of the base with
+    b - 1 there, times inverse(t) (fgl.inverse_series).
     """
     memo = _IMAGES[(n, q)]
     nn = n * n
     place, j = 1, n - 1
     while not code // place % nn:
         place, j = place * nn, j - 1
-    pair = code // place % nn
-    base = code - pair * place
+    if code // place % nn >= n:  # a > 0
+        base, factor = code - n * place, fgl.n_times_series(q, n)
+    else:
+        base, factor = code - place, fgl.inverse_series(n)
     flat = memo.get(base)
     if flat is None:
         flat = _build(n, q, base)
-    image = memo[code] = _times(n, flat, j, fgl.pair_table(n, q, pair // n, pair % n))
+    image = memo[code] = _times(n, flat, j, factor)
     return image
 
 

@@ -17,7 +17,6 @@ import functools
 from math import comb
 
 from .flagring import FlagRingElement
-from .poly import _collect
 
 # a truncated power series in one variable t: ((t_degree, beta_exp, coeff), ..)
 Series = tuple[tuple[int, int, int], ...]
@@ -85,9 +84,12 @@ def n_times(m: int, a):
 #
 # Each generator x_i of the quotient ring satisfies x_i^n = 0, so the
 # images [q]x_i and inverse(x_i) of the Deligne-Lusztig substitution are
-# these series truncated at t^n.
+# these series truncated at t^n; an image is built by multiplying by
+# them one factor at a time (dlclass._build).  Both are memoized, and
+# flagring.clear_caches() empties them.
 
 
+@functools.lru_cache(maxsize=None)
 def n_times_series(m: int, n: int) -> Series:
     """[m]t = sum_{i=1..min(m, n-1)} C(m, i) (-beta)^(i-1) t^i mod t^n;
     the closed form of n_times, with O(n) work whatever m is."""
@@ -98,26 +100,8 @@ def n_times_series(m: int, n: int) -> Series:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def inverse_series(n: int) -> Series:
     """Formal inverse -sum_{k=0..n-2} beta^k t^(k+1) mod t^n; the
     series fgl_inverse sums."""
     return tuple((k + 1, k, -1) for k in range(n - 1))
-
-
-def _series_mul(f: Series, g: Series, n: int) -> Series:
-    out = _collect(((df + dg, bf + bg), cf * cg)
-                   for df, bf, cf in f for dg, bg, cg in g if df + dg < n)
-    return tuple((d, be, c) for (d, be), c in sorted(out.items()))
-
-
-@functools.lru_cache(maxsize=None)
-def pair_table(n: int, m: int, a: int, b: int) -> Series:
-    """([m]t)^a * inverse(t)^b mod t^n.
-
-    Every entry has t-degree at least a + b, and the entries come in
-    ascending t-degree; the table is empty when a + b >= n."""
-    if b:
-        return _series_mul(pair_table(n, m, a, b - 1), inverse_series(n), n)
-    if a:
-        return _series_mul(pair_table(n, m, a - 1, 0), n_times_series(m, n), n)
-    return ((0, 0, 1),)

@@ -325,6 +325,10 @@ class FlagRingElement(poly.SparseTerms):
             exps = tuple(int(e) for e in t["x"])
             exps += (0,) * (n - len(exps))  # pad a stripped tuple to length n
             key = (exps, int(t["beta"]))
+            if len(exps) > n or min(exps, default=0) < 0 or not is_staircase(exps) or key[1] < 0:
+                raise ValueError(
+                    f"term {t!r} is not a staircase monomial of n={n} with beta exponent >= 0"
+                )
             out[key] = out.get(key, 0) + int(t["coeff"])
         return cls(n, out)
 
@@ -423,7 +427,7 @@ def clear_caches() -> None:
     inverse of their index, rewriting relations and monomial codes,
     monomial reduction, the rows of phi_i on the staircase basis,
     Schubert classes and their leads, the double beta-polynomial family,
-    the substitution tables of the formal group law, the reduced
+    the series [q]t and inverse(t) of the formal group law, the reduced
     Deligne-Lusztig monomial images, the product layouts they are built
     from and the slots they store, the pair forms of the family members
     they are summed over, a memo of (v, n), and the folds of the
@@ -433,13 +437,13 @@ def clear_caches() -> None:
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
     3,015 and 28,786 reduced monomials).  The images grow with every
     (n, q) of a CK or K0 class: all 120 classes of S_5 at q = 2, 3, 5 in
-    each theory leave 18,705 images with 173,243 entries, and pair forms
-    of 89,531 terms.  The folds (239, with 1,038 slot rows at beta^0 and
-    22 at the top), reduced monomials (2,508, 4,752 slot pairs), decoded
-    indices (120) and layouts (5) do not grow with q, and the slots
-    (481) stay below n! (n(n-1)/2 + 1).  Such a process peaks at about
-    44 MB resident, against about 32 MB when every class was expanded
-    term by term.
+    each theory leave 18,705 images with 173,243 entries, pair forms of
+    89,531 terms and four series (three [q]t, one inverse(t)).  The
+    folds (239, with 1,038 slot rows at beta^0 and 22 at the top),
+    reduced monomials (2,508, 4,752 slot pairs), decoded indices (120)
+    and layouts (5) do not grow with q, and the slots (481) stay below
+    n! (n(n-1)/2 + 1).  Such a process peaks at about 44 MB resident,
+    against about 32 MB when every class was expanded term by term.
     """
     from . import dlclass, fgl  # imported here: both import this module
 
@@ -450,7 +454,8 @@ def clear_caches() -> None:
     _h_offsets.cache_clear()
     _REDUCE_MEMO.clear()
     _phi_row.cache_clear()
-    fgl.pair_table.cache_clear()
+    fgl.n_times_series.cache_clear()
+    fgl.inverse_series.cache_clear()
     schubert_class.cache_clear()
     _leads.cache_clear()
     betapoly.clear_cache()
@@ -467,6 +472,9 @@ class SchubertExpansion:
 
     coefficients maps a permutation to its ZZ[beta] coefficient
     {beta_exponent: int}; permutations with zero coefficient are absent.
+    to_json and render list them in dict order: schubert_expand builds
+    them by length(w), then w, and specialize_beta and from_json keep
+    the order they are given.
     """
 
     n: int
@@ -486,11 +494,6 @@ class SchubertExpansion:
                 out[w] = {0: v}
         return SchubertExpansion(self.n, out)
 
-    def _sorted_items(self):
-        return sorted(
-            self.coefficients.items(), key=lambda kv: (perm.length(kv[0]), kv[0])
-        )
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -502,7 +505,7 @@ class SchubertExpansion:
                         for be, c in sorted(scalar.items())
                     ],
                 }
-                for w, scalar in self._sorted_items()
+                for w, scalar in self.coefficients.items()
             ],
         }
 
@@ -519,7 +522,7 @@ class SchubertExpansion:
 
     def render(self, fmt: str = "plain") -> str:
         lines = []
-        for w, scalar in self._sorted_items():
+        for w, scalar in self.coefficients.items():
             s = poly.format_terms(
                 [((), (), be, c) for be, c in sorted(scalar.items())], fmt
             )

@@ -343,6 +343,21 @@ def test_ck_element_matches_substitution_s5():
         assert _ck_element(w, 5, q) == _ck_element_by_substitution(w, 5, q), (w, q)
 
 
+def _pair_table(n, q, a, b):
+    """([q]t)^a * inverse(t)^b mod t^n as {(d, beta exponent): coeff},
+    multiplied out one factor at a time."""
+    table = {(0, 0): 1}
+    for factor in [fgl.n_times_series(q, n)] * a + [fgl.inverse_series(n)] * b:
+        product = {}
+        for (d, tb), tc in table.items():
+            for fd, fb, fc in factor:
+                if d + fd < n:
+                    key = (d + fd, tb + fb)
+                    product[key] = product.get(key, 0) + tc * fc
+        table = product
+    return table
+
+
 def _ck_element_by_tables(w, n, q):
     """Reference route: every term of the beta-sign-flipped member of
     w.w0 expanded over its n pair tables, the free monomials summed, and
@@ -356,11 +371,11 @@ def _ck_element_by_tables(w, n, q):
         ye = ye + (0,) * (n - len(ye))
         partial = [((), be, c)]
         for i in range(n):
-            table = fgl.pair_table(n, q, xe[i], ye[n - 1 - i])
+            table = _pair_table(n, q, xe[i], ye[n - 1 - i])
             partial = [
                 (exps + (d,), beta + tb, coeff * tc)
                 for exps, beta, coeff in partial
-                for d, tb, tc in table
+                for (d, tb), tc in table.items()
             ]
         for exps, beta, coeff in partial:
             if sum(exps) <= top:

@@ -9,7 +9,6 @@ from dlschubert.fgl import (
     inverse_series,
     n_times,
     n_times_series,
-    pair_table,
 )
 from dlschubert.flagring import FlagRingElement, staircase_monomials
 from dlschubert.poly import BetaPolynomial
@@ -188,16 +187,3 @@ def test_inverse_series_inverts_mod_t_n():
         # the series fgl_inverse sums for a generator of the quotient ring
         a = F.x_gen(n, n)
         assert inv.substitute({1: a}, {}) == fgl_inverse(a)
-
-
-def test_pair_table_is_product_of_series():
-    t = B.x(1)
-    for n in range(2, 6):
-        for m in (2, 3, 7):
-            qt = _series_poly(n_times_series(m, n))
-            inv = _series_poly(inverse_series(n))
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    table = pair_table(n, m, a, b)
-                    assert _series_poly(table) == _truncate(qt**a * inv**b, n)
-                    assert all(d >= a + b for d, _, _ in table)

@@ -417,7 +417,7 @@ def test_clear_caches():
     u, v = (2, 1, 3), (1, 3, 2)
     product = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     family = betapoly.double_beta_polynomial((2, 3, 1), 3)
-    table = fgl.pair_table(3, 5, 1, 1)
+    series = fgl.n_times_series(5, 3), fgl.inverse_series(3)
     element = dlclass._ck_element((2, 1, 3), 3, 5)
     cls = schubert_class((1, 2, 3), 3)
     assert dlclass._IMAGES and dlclass._pair_form.cache_info().currsize
@@ -436,14 +436,15 @@ def test_clear_caches():
         flagring._coding,
         flagring._h_offsets,
         flagring._phi_row,
-        fgl.pair_table,
+        fgl.n_times_series,
+        fgl.inverse_series,
         dlclass._slots,
         dlclass._layouts,
         dlclass._pair_form,
         dlclass._fold,
     ):
         assert cached.cache_info().currsize == 0
-    assert fgl.pair_table(3, 5, 1, 1) == table
+    assert (fgl.n_times_series(5, 3), fgl.inverse_series(3)) == series
     assert schubert_class((1, 2, 3), 3) == cls
     again = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     assert again.coefficients == product.coefficients
@@ -626,6 +627,18 @@ def test_element_json_roundtrip():
     assert data["terms"] == [{"beta": 0, "x": [0, 1], "coeff": "1"}]
     with pytest.raises(ValueError):
         F.from_json({"n": 2, "basis": "schubert", "terms": []})
+
+
+def test_element_json_refuses_non_staircase_terms():
+    # x1 at n = 2 is not a staircase monomial (x1 = -x2 in the ring)
+    for term in (
+        {"beta": 0, "x": [0, 1, 0], "coeff": "1"},  # more than n exponents
+        {"beta": 0, "x": [0, -1], "coeff": "1"},
+        {"beta": 0, "x": [1], "coeff": "1"},
+        {"beta": -1, "x": [0, 1], "coeff": "1"},
+    ):
+        with pytest.raises(ValueError, match="term"):
+            F.from_json({"n": 2, "terms": [term]})
 
 
 def test_expansion_json_roundtrip_and_render():
