@@ -140,12 +140,9 @@ def cmd_cache(args) -> int:
 
 def _qs_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse q list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty q list")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

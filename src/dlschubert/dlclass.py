@@ -254,10 +254,11 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
     The member is homogeneous, so these are its terms with beta exponent
     below n(n-1)/2 - length(v).  Pair i of a term x^a y^b beta^e is
     (a_i, b_{n+1-i}); the pairs are encoded in base n, which is
-    injective because a term with some a_i + b_{n+1-i} >= n maps to 0
-    (x_i^n = 0) and is left out.  A family member never changes once
-    read (betapoly.prime_cache is write-once), so the form is a function
-    of (v, n); the memo keeps the form, not the member.
+    injective because every member has x_i-degree at most n - i and
+    y_j-degree at most n - j (the staircase of the top product, which
+    phi_i keeps), so a_i + b_{n+1-i} <= n - 1.  A family member never
+    changes once read (betapoly.prime_cache is write-once), so the form
+    is a function of (v, n); the memo keeps the form, not the member.
     """
     top = n * (n - 1) // 2 - perm.length(v)
     form: list[int] = []
@@ -269,12 +270,8 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
         ye = ye + (0,) * (n - len(ye))
         code = 0
         for i in range(n):
-            a, b = xe[i], ye[n - 1 - i]
-            if a + b >= n:
-                break
-            code = (code * n + a) * n + b
-        else:
-            form += (code, be, c)
+            code = (code * n + xe[i]) * n + ye[n - 1 - i]
+        form += (code, be, c)
     return tuple(form)
 
 
@@ -286,8 +283,8 @@ def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], 
     ((slot at beta exponent 0, coefficients by power of q), ..).
 
     A term c x^a y^b (x,y-degree length(v) + e) adds (-1)^(e+|b|) c to
-    the q^|a| coefficient of x^s, s_i = a_i + b_{n+1-i}; a term with some
-    s_i >= n is left out (x_i^n = 0).  Each distinct x^s is then reduced
+    the q^|a| coefficient of x^s, s_i = a_i + b_{n+1-i} <= n - 1 (the
+    degree bound of _pair_form).  Each distinct x^s is then reduced
     once.  This is the whole image at e = 0, the CH class, and at the top
     degree, e = n(n-1)/2 - length(v), the point part of the CK class.
     """
@@ -299,10 +296,9 @@ def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], 
             continue
         xe = xe + (0,) * (n - len(xe))
         ye = ye + (0,) * (n - len(ye))
-        s = [a + b for a, b in zip(xe, reversed(ye))]
-        if max(s) < n:
-            row = sums.setdefault(flagring._encode(s, width), [0] * (degree + 1))
-            row[sum(xe)] += -sign * c if sum(ye) % 2 else sign * c
+        s = (a + b for a, b in zip(xe, reversed(ye)))
+        row = sums.setdefault(flagring._encode(s, width), [0] * (degree + 1))
+        row[sum(xe)] += -sign * c if sum(ye) % 2 else sign * c
     out: dict[int, list[int]] = {}
     for code, row in sums.items():
         for slot, r in flagring._reduce_code(n, code):
@@ -524,7 +520,12 @@ def kim_transform(a: FlagRingElement) -> FlagRingElement:
     reversal and the negation act on the top degree by the sign of the
     longest element.  On the staircase representative it is a signed
     reversal, c beta^e x^m -> (-1)^|m| c beta^e x^(reversed m), which one
-    normal form brings back to the staircase."""
+    normal form brings back to the staircase.
+
+    It is the w0-duality at beta = 0: the CK class of w0 w w0 is the
+    image of that of w under x_i -> inverse(x_{n+1-i}), which is
+    x_i -> -x_{n+1-i} at beta = 0, so this maps the CH class of w to that
+    of w0 w w0."""
     return normal_form(poly.BetaPolynomial({
         (poly._strip(m[::-1]), (), be): -c if sum(m) % 2 else c
         for (m, be), c in a._terms.items()

@@ -55,7 +55,6 @@ class SingularTransitionError(ArithmeticError):
     """The Schubert classes are not unitriangular against their leads."""
 
 
-@functools.lru_cache(maxsize=None)
 def staircase_monomials(n: int) -> tuple[tuple[int, ...], ...]:
     """All n! exponent tuples a with a_k <= k-1 (1-based k)."""
     if n < 1:
@@ -93,22 +92,6 @@ def is_staircase(exps: tuple[int, ...]) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _h_exponents(n: int, v: int) -> tuple[tuple[int, ...], ...]:
-    """Degree-v monomials of h_v(x_v, .., x_n) except the leading x_v^v,
-    as length-n exponent tuples."""
-    out = []
-    lead = tuple(v if k == v - 1 else 0 for k in range(n))
-    for combo in itertools.combinations_with_replacement(range(v - 1, n), v):
-        exps = [0] * n
-        for idx in combo:
-            exps[idx] += 1
-        t = tuple(exps)
-        if t != lead:
-            out.append(t)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
 def _coding(n: int) -> tuple[int, int, int]:
     """The integer code of a length-n exponent tuple, e_k in the width
     bits from k * width, as (width, probe, mask).  Rewriting keeps the
@@ -128,10 +111,15 @@ def _encode(exps: Iterable[int], width: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _h_offsets(n: int, v: int) -> tuple[int, ...]:
-    """_h_exponents(n, v) as codes: the children of a monomial whose
-    x_v^v is rewritten are base + offset."""
+    """The codes of the degree-v monomials of h_v(x_v, .., x_n) except the
+    leading x_v^v: the children of a monomial whose x_v^v is rewritten
+    are base + offset."""
     width = _coding(n)[0]
-    return tuple(_encode(h, width) for h in _h_exponents(n, v))
+    codes = (
+        sum(1 << k * width for k in ks)
+        for ks in itertools.combinations_with_replacement(range(v - 1, n), v)
+    )
+    return tuple(c for c in codes if c != v << (v - 1) * width)
 
 
 # n -> {code: normal form as ((slot, coeff), ..) at beta exponent 0}, read
@@ -423,8 +411,8 @@ def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
 
 
 def clear_caches() -> None:
-    """Empty every memo of the engine: the staircase monomials and the
-    inverse of their index, rewriting relations and monomial codes,
+    """Empty every memo of the engine: the inverse of the staircase
+    index, monomial codes and the codes of the rewriting relations,
     monomial reduction, the rows of phi_i on the staircase basis,
     Schubert classes and their leads, the double beta-polynomial family,
     the series [q]t and inverse(t) of the formal group law, the reduced
@@ -442,14 +430,11 @@ def clear_caches() -> None:
     folds (239, with 1,038 slot rows at beta^0 and 22 at the top),
     reduced monomials (2,508, 4,752 slot pairs), decoded indices (120)
     and layouts (5) do not grow with q, and the slots (481) stay below
-    n! (n(n-1)/2 + 1).  Such a process peaks at about 44 MB resident,
-    against about 32 MB when every class was expanded term by term.
+    n! (n(n-1)/2 + 1).  Such a process peaks at about 44 MB resident.
     """
     from . import dlclass, fgl  # imported here: both import this module
 
-    staircase_monomials.cache_clear()
     _staircase.cache_clear()
-    _h_exponents.cache_clear()
     _coding.cache_clear()
     _h_offsets.cache_clear()
     _REDUCE_MEMO.clear()

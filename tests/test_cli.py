@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dlschubert
-from dlschubert import betapoly, cli, perm
+from dlschubert import betapoly, cli, dlclass, perm
 from dlschubert.cache import ENV_CACHE_DIR, CacheWarning, PolynomialCache
 from dlschubert.flagring import SingularTransitionError
 from dlschubert.verify import CheckResult
@@ -131,6 +131,19 @@ def test_dlclass_kim_output(capsys):
     assert out == "-3*x2\nkim: -3*x2\n"
 
 
+def test_dlclass_kim_json(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "dlclass", "--w", "[2,1,3]", "--q", "3", "--theory", "ch", "--kim",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    element = dlclass.dl_class_ch((2, 1, 3), 3, 3).element
+    assert set(data) == {"element", "expansion", "kim", "metadata"}
+    assert data["kim"] == dlclass.kim_transform(element).to_json() != data["element"]
+
+
 def test_dlclass_kim_requires_ch(capsys):
     code, _, err = run_cli(
         capsys, "dlclass", "--w", "[1,2]", "--q", "2", "--kim"
@@ -220,6 +233,13 @@ def test_computation_failure_exit_code(capsys, monkeypatch, exc):
 def test_verify_bad_q_list(capsys):
     code, _, _ = run_cli(capsys, "verify", "braid", "--q", "2,x")
     assert code == 2
+
+
+def test_verify_empty_q_list(capsys):
+    # str.split(",") never returns an empty list: both fail at int("")
+    for text in ("", ","):
+        code, _, err = run_cli(capsys, "verify", "stability", "--q", text)
+        assert code == 2 and "cannot parse q list" in err, (text, err)
 
 
 def test_cache_cold_then_warm(capsys, tmp_path):
@@ -530,6 +550,13 @@ def test_cache_clear(capsys, tmp_path):
     assert not list(tmp_path.glob("*.json"))
     code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert (code, out) == (0, "removed 0 cache entries\n")
+
+
+def test_cache_clear_of_a_missing_directory(capsys, tmp_path):
+    missing = tmp_path / "absent"
+    code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(missing))
+    assert (code, out) == (0, "removed 0 cache entries\n")
+    assert not missing.exists()
 
 
 def test_cache_requires_directory(capsys, monkeypatch):

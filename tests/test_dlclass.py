@@ -466,6 +466,20 @@ def test_family_members_are_write_once(monkeypatch):
     assert _ck_element(w, n, q) == expected
 
 
+def test_members_lie_in_the_staircase_of_the_top_product():
+    # the top product prod_{i+j<=n} (x_i + y_j + beta x_i y_j) has x_i-degree
+    # n - i and y_j-degree n - j, and phi_i keeps both bounds (the staircase
+    # of pipe dreams, Knutson and Miller 2005); so every pair sum
+    # a_i + b_(n+1-i) is at most n - 1, and _pair_form and _fold need no
+    # rule for a pair sum that reaches n
+    for n in range(1, 6):
+        bound = tuple(range(n - 1, -1, -1))
+        for v in perm.all_permutations(n):
+            for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
+                inside = all(map(int.__le__, xe, bound)) and all(map(int.__le__, ye, bound))
+                assert inside, (v, xe, ye, be, c)
+
+
 def test_pair_forms_do_not_keep_dropped_members():
     # the pair form memo must not keep alive a member that the family
     # cache dropped, and must rebuild from the new member; the identity
@@ -548,6 +562,58 @@ def test_kim_preserves_chow_point_coefficient():
             assert point_coefficient(kim_transform(res.element)) == point_coefficient(
                 res.element
             ), w
+
+
+def _star(w):
+    """w* = w0 w w0."""
+    w0 = perm.longest_element(len(w))
+    return perm.compose(w0, perm.compose(w, w0))
+
+
+def _first_stray(got, expected):
+    """The first key, in sorted order, where two dicts differ, or None."""
+    return next((k for k in sorted(got | expected) if got.get(k) != expected.get(k)), None)
+
+
+def test_expansions_of_w0_dual_classes_match():
+    # g -> w0 (g^T)^-1 w0 is an automorphism of GL_n that commutes with
+    # Frobenius; it maps X(w) onto X(w*) and Schubert varieties onto
+    # Schubert varieties, so in every theory the expansion of w* is that
+    # of w with every index u replaced by u*
+    cases = [(n, q) for n in (2, 3, 4) for q in (2, 3)] + [(5, 2)]
+    for n, q in cases:
+        for theory in ("CK", "CH", "K0"):
+            for w in perm.all_permutations(n):
+                mine = dl_class(DLQuery(w, n, q, theory)).expansion.coefficients
+                dual = dl_class(DLQuery(_star(w), n, q, theory)).expansion.coefficients
+                starred = {_star(u): c for u, c in mine.items()}
+                u = _first_stray(starred, dual)
+                assert u is None, (w, q, theory, u, starred.get(u), dual.get(u))
+
+
+def _dual_image(a):
+    """a under x_i -> inverse(x_{n+1-i}), through the generic substitution
+    and fgl.fgl_inverse: no code of the image route."""
+    n = a.n
+    xmap = {i: fgl.fgl_inverse(F.x_gen(n, n + 1 - i)) for i in range(1, n + 1)}
+    return a.to_polynomial().substitute(xmap, {})
+
+
+def test_ck_elements_of_w0_dual_classes_match():
+    # the same automorphism maps L_i to the dual of L_(n+1-i): the CK class
+    # of w* is the image of that of w under x_i -> inverse(x_(n+1-i)),
+    # which at beta = 0 is kim_transform
+    cases = [(w, n, q) for n in (2, 3, 4) for q in (2, 3) for w in perm.all_permutations(n)]
+    rng = random.Random(22)
+    cases += [(w, 5, 2) for w in rng.sample(sorted(perm.all_permutations(5)), 20)]
+    for w, n, q in cases:
+        got = _dual_image(_ck_element(w, n, q))._terms
+        expected = _ck_element(_star(w), n, q)._terms
+        term = _first_stray(got, expected)
+        assert term is None, (w, q, term, got.get(term, 0), expected.get(term, 0))
+        if n < 5:
+            ch = dl_class_ch(w, n, q).element
+            assert kim_transform(ch) == dl_class_ch(_star(w), n, q).element, (w, q)
 
 
 def test_kim_convention_guard():

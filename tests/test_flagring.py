@@ -12,7 +12,6 @@ from dlschubert.flagring import (
     FlagRingElement,
     SchubertExpansion,
     SingularTransitionError,
-    _h_exponents,
     _leads,
     _reduce_exps,
     is_staircase,
@@ -345,10 +344,16 @@ def _reduce_reference(n, exps, memo):
                 out.pop(m, None)
             continue
         v = viol + 1
-        base = list(m)
-        base[viol] -= v
-        for hm in _h_exponents(n, v):
-            nm = tuple(b + h for b, h in zip(base, hm))
+        # x_v^v = -(h_v(x_v, .., x_n) - x_v^v): one child per other
+        # degree-v monomial in x_v, .., x_n
+        for ks in itertools.combinations_with_replacement(range(viol, n), v):
+            if ks == (viol,) * v:
+                continue
+            child = list(m)
+            child[viol] -= v
+            for k in ks:
+                child[k] += 1
+            nm = tuple(child)
             nc = pending.get(nm, 0) - c
             if nc:
                 pending[nm] = nc
@@ -430,9 +435,7 @@ def test_clear_caches():
     for cached in (
         schubert_class,
         _leads,
-        staircase_monomials,
         flagring._staircase,
-        _h_exponents,
         flagring._coding,
         flagring._h_offsets,
         flagring._phi_row,

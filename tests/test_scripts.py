@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from dlschubert.dlclass import DLQuery, dl_class
@@ -10,7 +9,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
