@@ -27,6 +27,16 @@ phi_i runs term by term, each term emitting its output monomials into
 one dict; likewise the top product is built by folding in one factor at
 a time, three monomials per term.
 
+At beta = 0 both kernels keep their beta-free part: the top product
+loses its beta*x_i*y_j monomials and phi_i becomes d_i, since the beta
+part of phi_i f only raises beta exponents.  So the beta^0 part of a
+member is the beta^0 part of the member above it under d_i, and
+beta0_polynomial builds that chain (the double Schubert polynomials of
+Lascoux and Schutzenberger, "Polynomes de Schubert", 1982, with y
+negated) from the top product at beta = 0 along the same ascents, with
+a memo of its own: the Chow classes read only these parts.  At n = 6
+the top product has 187,945 terms, of which 15,944 are beta-free.
+
 Specializations (classical families):
   * beta = 0 and y -> -y gives the double Schubert polynomial of w;
   * beta = -1 gives the double Grothendieck polynomial of w.
@@ -56,13 +66,14 @@ def _bump(exp: tuple[int, ...], i: int) -> tuple[int, ...]:
     return exp + (0,) * (i - 1 - len(exp)) + (1,)
 
 
-def top_beta_polynomial(n: int) -> BetaPolynomial:
+def top_beta_polynomial(n: int, beta: bool = True) -> BetaPolynomial:
     """Polynomial of the longest element of S_n:
-    prod over i + j <= n of (x_i + y_j + beta x_i y_j).
+    prod over i + j <= n of (x_i + y_j + beta x_i y_j), or its beta^0
+    part prod (x_i + y_j) if beta is false.
 
     Each factor is folded into the running term dict: a term gives
-    exactly three monomials.  Every coefficient is positive, so nothing
-    cancels.
+    exactly three monomials (two at beta = 0).  Every coefficient is
+    positive, so nothing cancels.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -76,16 +87,21 @@ def top_beta_polynomial(n: int) -> BetaPolynomial:
             for (xe, ye, be), c in terms.items():
                 xs = xbumped.get(xe) or xbumped.setdefault(xe, _bump(xe, i))
                 ys = ybumped.get(ye) or ybumped.setdefault(ye, _bump(ye, j))
-                for m in ((xs, ye, be), (xe, ys, be), (xs, ys, be + 1)):
+                for m in ((xs, ye, be), (xe, ys, be)):
+                    out[m] = get(m, 0) + c
+                if beta:
+                    m = (xs, ys, be + 1)
                     out[m] = get(m, 0) + c
             terms = out
     return BetaPolynomial(terms)
 
 
-def _phi_images(xe: tuple[int, ...], i: int) -> list[tuple[tuple[int, ...], int, int]]:
+def _phi_images(
+    xe: tuple[int, ...], i: int, beta: bool = True
+) -> list[tuple[tuple[int, ...], int, int]]:
     """phi_i of the monomial x^xe as (x exponents, added beta exponent,
-    sign) triples: d_i x^xe, then beta d_i(x_{i+1} x^xe), by the closed
-    form of d_i in the module docstring."""
+    sign) triples: d_i x^xe, then (if beta) beta d_i(x_{i+1} x^xe), by
+    the closed form of d_i in the module docstring."""
     if len(xe) > i:
         a, b = xe[i - 1], xe[i]
         head, tail = xe[:i - 1], xe[i + 1:]
@@ -93,7 +109,7 @@ def _phi_images(xe: tuple[int, ...], i: int) -> list[tuple[tuple[int, ...], int,
         a, b = (xe[i - 1] if len(xe) == i else 0), 0
         head, tail = xe[:i - 1] + (0,) * (i - 1 - len(xe)), ()
     out = []
-    for u, v, k in ((a, b, 0), (a, b + 1, 1)):
+    for u, v, k in ((a, b, 0), (a, b + 1, 1))[:2 if beta else 1]:
         lo, hi, s = (v, u, 1) if u > v else (u, v, -1)
         for e in range(lo, hi):
             f = lo + hi - 1 - e
@@ -109,9 +125,10 @@ def _phi_images(xe: tuple[int, ...], i: int) -> list[tuple[tuple[int, ...], int,
     return out
 
 
-def divided_difference(i: int, p: BetaPolynomial) -> BetaPolynomial:
+def divided_difference(i: int, p: BetaPolynomial, beta: bool = True) -> BetaPolynomial:
     """phi_i p = d_i p + beta d_i(x_{i+1} p); lowers graded degree by
-    one.  Constants map to -beta times themselves.
+    one.  Constants map to -beta times themselves.  If beta is false,
+    d_i p alone: the beta^0 part of phi_i p when p is beta-free.
 
     Termwise: phi_i is linear over y and beta, so each term emits the
     images of its x-monomial (computed once per distinct monomial)
@@ -125,7 +142,7 @@ def divided_difference(i: int, p: BetaPolynomial) -> BetaPolynomial:
     for (xe, ye, be), c in p.terms().items():
         emitted = images.get(xe)
         if emitted is None:
-            emitted = images[xe] = _phi_images(xe, i)
+            emitted = images[xe] = _phi_images(xe, i, beta)
         for x, k, s in emitted:
             m = (x, ye, be + k)
             out[m] = get(m, 0) + s * c
@@ -133,8 +150,10 @@ def divided_difference(i: int, p: BetaPolynomial) -> BetaPolynomial:
 
 
 # per-process family cache, write-once: values are immutable and an
-# entry is never replaced, so of two concurrent computations one wins
+# entry is never replaced, so of two concurrent computations one wins;
+# _BETA0 holds the beta^0 chain the same way
 _FAMILY: dict[tuple[int, Permutation], BetaPolynomial] = {}
+_BETA0: dict[tuple[int, Permutation], BetaPolynomial] = {}
 
 
 def _resolve(w, n: int | None) -> tuple[Permutation, int]:
@@ -162,8 +181,26 @@ def double_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
     return _FAMILY.setdefault((n, w), value)
 
 
+def beta0_polynomial(w, n: int | None = None) -> BetaPolynomial:
+    """The beta^0 part of double_beta_polynomial(w, n), without building
+    that member: the top product at beta = 0, then d_i along the ascents
+    that double_beta_polynomial takes, memoized in _BETA0."""
+    w, n = _resolve(w, n)
+    cached = _BETA0.get((n, w))
+    if cached is not None:
+        return cached
+    if w == perm.longest_element(n):
+        value = top_beta_polynomial(n, beta=False)
+    else:
+        i = perm.right_ascents(w)[0]
+        value = divided_difference(i, beta0_polynomial(perm.times_s(w, i), n), beta=False)
+    return _BETA0.setdefault((n, w), value)
+
+
 def clear_cache() -> None:
+    """Empty the family and its beta^0 chain."""
     _FAMILY.clear()
+    _BETA0.clear()
 
 
 def prime_cache(w, n: int | None, value: BetaPolynomial) -> None:

@@ -70,8 +70,10 @@ def cmd_dlclass(args) -> int:
     if args.kim and query.theory != "CH":
         raise CLIError(3, "--kim is defined for Chow classes only; pass --theory ch")
     store = _cache_store(args)
-    if store is not None:
-        _family_polynomial(perm.compose(w, perm.longest_element(n)), n, store)
+    v = perm.compose(w, perm.longest_element(n))
+    # only a class that reads the full member of w.w0 gains from the cache
+    if store is not None and dlclass._fold_exponent(v, n, dlclass.BETA[query.theory]):
+        _family_polynomial(v, n, store)
     result = dlclass._dl_class(query)
     kim = dlclass.kim_transform(result.element) if args.kim else None
     if args.format == "json":

@@ -46,8 +46,11 @@ Specializations: beta = 0 recovers the Chow-group class, beta = 1 the
 K-theory class of the structure sheaf (reading c1(L) = 1 - [dual L]).
 Each theory works at its own beta, not by specializing the CK answer.
 At beta = 0 the group law is additive ([q]t = qt, inverse(t) = -t), so
-the CH class is the fold of the member's beta^0 terms alone and builds
-no pair form and no image.  The K0 class is the CK sum with every beta
+the CH class is the fold of the member's beta^0 terms alone.  Those
+terms come from betapoly's beta^0 chain (betapoly.beta0_polynomial), so
+a CH class builds no pair form, no image and no full member; neither
+does the identity in any theory, whose member w0 has only top-degree
+terms, folded at beta^0.  The K0 class is the CK sum with every beta
 exponent dropped.  Both are expanded against the Schubert basis at
 their beta (flagring.schubert_expand).
 q is a concrete integer; Frobenius twists make geometric sense for
@@ -75,6 +78,7 @@ from .flagring import (
 from .perm import Permutation
 
 THEORIES = ("CK", "CH", "K0")
+BETA = {"CK": None, "CH": 0, "K0": 1}  # the beta each theory works at
 
 CONVENTIONS = {
     "basis": "staircase",
@@ -287,18 +291,33 @@ def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], 
     degree bound of _pair_form).  Each distinct x^s is then reduced
     once.  This is the whole image at e = 0, the CH class, and at the top
     degree, e = n(n-1)/2 - length(v), the point part of the CK class.
+    At e = 0 the terms come from the beta^0 chain
+    (betapoly.beta0_polynomial), so no full member is built.
     """
     width, degree = flagring._coding(n)[0], perm.length(v) + e
     sign = -1 if e % 2 else 1  # flip_beta_sign
+    # the code of x^s is the code of x^a plus that of b reversed, so each
+    # distinct a and b is encoded once: a -> (code, |a|), b -> (code, sign)
+    xs: dict[tuple[int, ...], tuple[int, int]] = {}
+    ys: dict[tuple[int, ...], tuple[int, int]] = {}
     sums: dict[int, list[int]] = {}
-    for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
+    member = betapoly.double_beta_polynomial(v, n) if e else betapoly.beta0_polynomial(v, n)
+    for (xe, ye, be), c in member.terms().items():
         if be != e:
             continue
-        xe = xe + (0,) * (n - len(xe))
-        ye = ye + (0,) * (n - len(ye))
-        s = (a + b for a, b in zip(xe, reversed(ye)))
-        row = sums.setdefault(flagring._encode(s, width), [0] * (degree + 1))
-        row[sum(xe)] += -sign * c if sum(ye) % 2 else sign * c
+        x = xs.get(xe)
+        if x is None:
+            x = xs[xe] = (flagring._encode(xe, width), sum(xe))
+        y = ys.get(ye)
+        if y is None:
+            padded = ye + (0,) * (n - len(ye))
+            y = ys[ye] = (
+                flagring._encode(reversed(padded), width), -sign if sum(ye) % 2 else sign)
+        code = x[0] + y[0]
+        row = sums.get(code)
+        if row is None:
+            row = sums[code] = [0] * (degree + 1)
+        row[x[1]] += y[1] * c
     out: dict[int, list[int]] = {}
     for code, row in sums.items():
         for slot, r in flagring._reduce_code(n, code):
@@ -392,21 +411,30 @@ def _build(n: int, q: int, code: int) -> tuple[int, ...]:
     return image
 
 
+def _fold_exponent(v: Permutation, n: int, beta: int | None) -> int:
+    """The beta exponent e of the fold in the class of w = v.w0 at beta:
+    0 in CH, else the top one, n(n-1)/2 - length(v).  The class reads
+    the full family member of v (its pair form) only if e > 0; at e = 0,
+    in CH and for v = w0, it reads the beta^0 chain alone."""
+    return 0 if beta == 0 else n * (n - 1) // 2 - perm.length(v)
+
+
 def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> FlagRingElement:
     """The class of w as an element, in CK or at beta = 0 or 1.
 
     In CK it is the sum c * beta^e * image(pairs) over the pair form of
     the member of w.w0, plus the point part, the fold at the top beta
     exponent evaluated at q.  At beta = 1 (K0) it is the same sum with
-    every beta exponent dropped.  At beta = 0 (CH) it is the fold of the
-    beta^0 terms alone, with no image.  Images and reduced monomials are
-    in normal form already."""
+    every beta exponent dropped.  At beta = 0 (CH), and for the identity
+    (whose member, the top product, has only top-degree terms), it is
+    the fold of the beta^0 terms alone: it builds no pair form, no image
+    and no full member.  Images and reduced monomials are in normal
+    form already."""
     v = perm.compose(w, perm.longest_element(n))
-    length = perm.length(v)
-    e = 0 if beta == 0 else n * (n - 1) // 2 - length
+    e = _fold_exponent(v, n, beta)
     acc: dict[int, int] = {}
     get = acc.get
-    if beta != 0:
+    if e:
         images = _IMAGES.setdefault((n, q), {0: (0, 1)})
         index = ~((1 << _BETA_BITS) - 1)  # slot & index: the slot at beta = 1
         it = iter(_pair_form(v, n))
@@ -424,7 +452,9 @@ def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> Flag
                     slot &= index
                     acc[slot] = get(slot, 0) + c * ic
     shift = e if beta is None else 0
-    powers = [q**k for k in range(length + e + 1)]
+    # the fold's degree in q, length(v) + e: the top degree unless in CH
+    degree = perm.length(v) if beta == 0 else n * (n - 1) // 2
+    powers = [q**k for k in range(degree + 1)]
     for slot, row in _fold(v, n, e):
         slot += shift
         acc[slot] = get(slot, 0) + sum(map(mul, row, powers))
@@ -447,7 +477,7 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
 
 def _dl_class(query: DLQuery) -> DLResult:
     """dl_class of a query that has been validated."""
-    beta = {"CK": None, "CH": 0, "K0": 1}[query.theory]
+    beta = BETA[query.theory]
     element = _ck_element(query.w, query.n, query.q, beta)
     expansion = schubert_expand(element, beta)
     meta = {

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dlschubert
-from dlschubert import betapoly, cli, dlclass, perm
+from dlschubert import betapoly, cli, dlclass, flagring, perm
 from dlschubert.cache import ENV_CACHE_DIR, CacheWarning, PolynomialCache
 from dlschubert.flagring import SingularTransitionError
 from dlschubert.verify import CheckResult
@@ -495,11 +495,25 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
 def test_dlclass_prewarms_family_cache(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys,
-        "dlclass", "--w", "[1,2]", "--q", "2", "--cache-dir", str(tmp_path),
+        "dlclass", "--w", "[2,1,3]", "--q", "2", "--cache-dir", str(tmp_path),
     )
     assert code == 0
     # the family member actually consumed is the one for w.w0
-    assert (tmp_path / "double-beta_n2_w2-1.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["double-beta_n3_w3-1-2.json"]
+
+
+@pytest.mark.parametrize("args", [
+    ("--w", "[2,1,3]", "--theory", "ch"),
+    ("--w", "[1,2,3]", "--theory", "ck"),
+])
+def test_dlclass_caches_no_member_it_does_not_read(capsys, tmp_path, args):
+    # a Chow class and the identity read only the beta^0 chain, so the
+    # cache neither stores nor primes a full member for them
+    flagring.clear_caches()
+    code, _, _ = run_cli(capsys, "dlclass", *args, "--q", "2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert not list(tmp_path.iterdir())
+    assert not betapoly._FAMILY
 
 
 @pytest.mark.parametrize("extra", [

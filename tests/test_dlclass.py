@@ -189,14 +189,18 @@ def test_k0_route_coherence_s4():
 
 
 def test_ch_classes_build_no_image():
-    # the Chow class is the fold of the member's beta^0 terms: it reads
-    # neither the images nor the pair forms
+    # the Chow class, and the identity's class in every theory, is the
+    # fold of the beta^0 chain: it reads neither the images nor the pair
+    # forms, and builds no full family member
     clear_caches()
     for q in (2, 3):
         for w in perm.all_permutations(4):
             dl_class_ch(w, 4, q)
+    dl_class_ck(perm.identity(4), 4, 2)
+    dl_class_k0(perm.identity(4), 4, 2)
     assert not dlclass._IMAGES
     assert dlclass._pair_form.cache_info().currsize == 0
+    assert not betapoly._FAMILY
 
 
 def test_flag_count_oracle_frozen():

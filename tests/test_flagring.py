@@ -519,6 +519,17 @@ def test_s6_basis_smoke():
         assert schubert_expand(schubert_class(w, 6)).coefficients == {w: {0: 1}}, w
 
 
+def test_leads_are_the_inversion_codes():
+    # the lead of w is x^c with c_k = #{j < k : w_j > w_k}, with sign
+    # (-1)^length(w); the S_6 basis is the one test_s6_basis_smoke builds
+    for n in range(1, 7):
+        expected = set()
+        for w in perm.all_permutations(n):
+            code = tuple(sum(w[j] > w[k] for j in range(k)) for k in range(n))
+            expected.add((code, w, (-1) ** perm.length(w)))
+        assert set(_leads(n)) == expected, n
+
+
 def test_expand_schubert_classes_are_unit_vectors():
     for n in (2, 3, 4):
         for w in perm.all_permutations(n):
