@@ -37,6 +37,33 @@ negated) from the top product at beta = 0 along the same ascents, with
 a memo of its own: the Chow classes read only these parts.  At n = 6
 the top product has 187,945 terms, of which 15,944 are beta-free.
 
+One member alone is cheaper by the Cauchy identity for double
+Grothendieck polynomials (Fomin and Kirillov, "Grothendieck polynomials
+and the Yang-Baxter equation", 1994).  With v * u the Demazure product
+and G_u(x) = D_u(x, 0), it reads in this engine's sign convention
+
+    D_w(x, y) = sum over v * u = w of beta^(l(u) + l(v) - l(w)) G_u(x) G_(v^-1)(y).
+
+single_beta_polynomial builds the G's with the same phi_i kernel, down
+from x^delta (one term) in a memo of its own, cauchy_pairs finds the
+factorizations by a recursion along reduced words, and
+cauchy_polynomial sums the products.
+An S_6 member takes 0.01-1.0 s and 17-60 MB that way, against 0.8-1.6 s
+and 68-194 MB down the chain, and n = 7 members of length 8 and 9, out
+of the chain's reach, take 2-3 s and about 125 MB.  Near the top the
+chain wins: w0 is the top product itself and a member of length
+l(w0) - 1 one phi_i step below it (at n = 6, 0.5 s and 0.75 s, against
+2.7 s and 1.0 s by the identity).
+
+So the CLI (cli._family_polynomial, for `betapoly` and for the member
+that a `dlclass` class reads) takes the identity below length
+l(w0) - 1 and the chain above, and installs the member with
+prime_cache.  double_beta_polynomial keeps the chain, and so do its
+in-process callers (dlclass, verify, the scripts): a table shares the
+chain's intermediate members (all of S_5 takes 0.37 s by the chain,
+0.51 s by the identity), the chain is the identity's test oracle,
+and perfbench/test_perfbench.py pins its recursion.
+
 Specializations (classical families):
   * beta = 0 and y -> -y gives the double Schubert polynomial of w;
   * beta = -1 gives the double Grothendieck polynomial of w.
@@ -151,9 +178,11 @@ def divided_difference(i: int, p: BetaPolynomial, beta: bool = True) -> BetaPoly
 
 # per-process family cache, write-once: values are immutable and an
 # entry is never replaced, so of two concurrent computations one wins;
-# _BETA0 holds the beta^0 chain the same way
+# _BETA0 holds the beta^0 chain and _SINGLE the single polynomials G_w(x)
+# the same way
 _FAMILY: dict[tuple[int, Permutation], BetaPolynomial] = {}
 _BETA0: dict[tuple[int, Permutation], BetaPolynomial] = {}
+_SINGLE: dict[tuple[int, Permutation], BetaPolynomial] = {}
 
 
 def _resolve(w, n: int | None) -> tuple[Permutation, int]:
@@ -197,19 +226,101 @@ def beta0_polynomial(w, n: int | None = None) -> BetaPolynomial:
     return _BETA0.setdefault((n, w), value)
 
 
+def single_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
+    """G_w(x) = double_beta_polynomial(w, n) at y = 0, without the y
+    alphabet: x^delta = x_1^(n-1) ... x_(n-1) (the top product at y = 0),
+    then phi_i along the ascents that double_beta_polynomial takes,
+    memoized in _SINGLE."""
+    w, n = _resolve(w, n)
+    cached = _SINGLE.get((n, w))
+    if cached is not None:
+        return cached
+    if w == perm.longest_element(n):
+        value = BetaPolynomial({(tuple(range(n - 1, 0, -1)), (), 0): 1})
+    else:
+        i = perm.right_ascents(w)[0]
+        value = divided_difference(i, single_beta_polynomial(perm.times_s(w, i), n))
+    return _SINGLE.setdefault((n, w), value)
+
+
+def cauchy_pairs(w: Permutation) -> dict[Permutation, tuple[Permutation, ...]]:
+    """{u: (v, ...)} over the pairs with v * u = w (Demazure product).
+
+    With R(u, x) = {v : v * u = x}: R(e, x) = {x}, and for a right
+    descent i of u, R(u, x) is R(u.s_i, x) + R(u.s_i, x.s_i) if i is a
+    right descent of x and empty otherwise, memoized in (u, x); no
+    Demazure product of two words is formed.  u runs over the Bruhat
+    interval [e, w], where R(u, w) may be empty (no v has
+    v * s_1 = s_1.s_2 in S_3).
+    """
+    memo: dict[tuple[Permutation, Permutation], tuple[Permutation, ...]] = {}
+
+    def below(u: Permutation, x: Permutation) -> tuple[Permutation, ...]:
+        got = memo.get((u, x))
+        if got is None:
+            i = next((i for i in range(1, len(u)) if u[i - 1] > u[i]), 0)
+            if not i:
+                got = (x,)
+            elif x[i - 1] > x[i]:
+                u1 = perm.times_s(u, i)
+                got = below(u1, x) + below(u1, perm.times_s(x, i))
+            else:
+                got = ()
+            memo[(u, x)] = got
+        return got
+
+    # [e, w] is the set of Demazure products of subwords of a reduced word
+    interval = {perm.identity(len(w))}
+    for a in perm.reduced_word(w):
+        interval |= {u if u[a - 1] > u[a] else perm.times_s(u, a) for u in interval}
+    return {u: vs for u in sorted(interval) if (vs := below(u, w))}
+
+
+def cauchy_polynomial(w, n: int | None = None) -> BetaPolynomial:
+    """double_beta_polynomial(w, n) by the Cauchy identity of the module
+    docstring: the sum over cauchy_pairs(w) of
+    beta^(l(u) + l(v) - l(w)) G_u(x) G_(v^-1)(y), with
+    G = single_beta_polynomial and x renamed to y on the right.  Stores
+    nothing in _FAMILY; the G's go to _SINGLE.  Each product joins an
+    x-only and a y-only monomial, so no exponent tuples are added.
+    """
+    w, n = _resolve(w, n)
+    lw = perm.length(w)
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for u, vs in cauchy_pairs(w).items():
+        # the y side of u: sum over its v of beta^k G_(v^-1)(y)
+        side: dict[tuple[tuple[int, ...], int], int] = {}
+        shift = perm.length(u) - lw
+        for v in vs:
+            k = shift + perm.length(v)
+            g = single_beta_polynomial(perm.inverse(v), n)
+            for (ye, _, be), c in g.terms().items():
+                key = (ye, be + k)
+                side[key] = side.get(key, 0) + c
+        rows = list(side.items())
+        for (xe, _, bx), cx in single_beta_polynomial(u, n).terms().items():
+            for (ye, by), cy in rows:
+                m = (xe, ye, bx + by)
+                out[m] = get(m, 0) + cx * cy
+    return BetaPolynomial(out)
+
+
 def clear_cache() -> None:
-    """Empty the family and its beta^0 chain."""
+    """Empty the family, its beta^0 chain and the single polynomials."""
     _FAMILY.clear()
     _BETA0.clear()
+    _SINGLE.clear()
 
 
 def prime_cache(w, n: int | None, value: BetaPolynomial) -> None:
     """Install a precomputed family member, write-once.
 
     value must be what double_beta_polynomial(w, n) would compute, such
-    as a disk entry that passed PolynomialCache.get; a member already
-    in the family is kept, so every memo built from one is a function
-    of (w, n) alone."""
+    as cauchy_polynomial(w, n) or a disk entry that passed
+    PolynomialCache.get (its terms may come in another order); a member
+    already in the family is kept, so every memo built from one is a
+    function of (w, n) alone."""
     w, n = _resolve(w, n)
     _FAMILY.setdefault((n, w), value)
 

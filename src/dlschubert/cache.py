@@ -13,9 +13,12 @@ version, family, n or w, checksum-mismatched, or malformed (a row
 that is not integers and integer lists) is discarded with a
 ``CacheWarning`` and recomputed, and so is an entry whose polynomial
 is not homogeneous of graded degree length(w), which no family member
-can be.  A hit deserializes to the same term dictionary, in the same
-order, as a fresh computation, so rendered output is byte-identical
-either way.
+can be.  A hit deserializes to the term dictionary of the computation
+that wrote the entry, in that computation's order; the chain down from
+the top product and the Cauchy identity order the terms differently.
+Nothing reads that order: polynomials compare as dicts, and
+``poly.render`` and ``poly.to_json_terms`` sort, so output is
+byte-identical whichever route or entry gave the member.
 
 Bump ``FORMAT_VERSION`` whenever the entry layout or the convention of
 a stored family (such as its beta sign) changes: an entry of another

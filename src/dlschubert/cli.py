@@ -37,14 +37,25 @@ def _cache_store(args) -> PolynomialCache | None:
 
 
 def _family_polynomial(w: perm.Permutation, n: int, store: PolynomialCache | None):
-    if store is None:
-        return betapoly.double_beta_polynomial(w, n)
-    hit = store.get(FAMILY, w, n)
+    """The member of w in S_n, installed in the family: the one the
+    process holds, else a disk hit, else computed (and written to the
+    disk cache).  A member of length below l(w0) - 1 is computed by the
+    Cauchy identity; w0 and the members just below it are the top
+    product and at most one phi_i step, faster by the chain."""
+    held = betapoly._FAMILY.get((n, w))
+    if held is not None:
+        return held
+    hit = store.get(FAMILY, w, n) if store is not None else None
     if hit is not None:
         betapoly.prime_cache(w, n, hit)
         return hit
-    value = betapoly.double_beta_polynomial(w, n)
-    store.put(FAMILY, w, n, value)
+    if perm.length(w) >= n * (n - 1) // 2 - 1:
+        value = betapoly.double_beta_polynomial(w, n)
+    else:
+        value = betapoly.cauchy_polynomial(w, n)
+        betapoly.prime_cache(w, n, value)
+    if store is not None:
+        store.put(FAMILY, w, n, value)
     return value
 
 
@@ -69,11 +80,11 @@ def cmd_dlclass(args) -> int:
     query.validate(strict=args.strict)
     if args.kim and query.theory != "CH":
         raise CLIError(3, "--kim is defined for Chow classes only; pass --theory ch")
-    store = _cache_store(args)
     v = perm.compose(w, perm.longest_element(n))
-    # only a class that reads the full member of w.w0 gains from the cache
-    if store is not None and dlclass._fold_exponent(v, n, dlclass.BETA[query.theory]):
-        _family_polynomial(v, n, store)
+    # only a class that reads the full member of w.w0 needs it; a CH
+    # class and the identity read the beta^0 chain alone
+    if dlclass._fold_exponent(v, n, dlclass.BETA[query.theory]):
+        _family_polynomial(v, n, _cache_store(args))
     result = dlclass._dl_class(query)
     kim = dlclass.kim_transform(result.element) if args.kim else None
     if args.format == "json":

@@ -8,6 +8,8 @@ import pytest
 from dlschubert import betapoly, perm
 from dlschubert.betapoly import (
     beta0_polynomial,
+    cauchy_pairs,
+    cauchy_polynomial,
     clear_cache,
     divided_difference,
     double_beta_polynomial,
@@ -17,6 +19,7 @@ from dlschubert.betapoly import (
     pipe_dream_oracle,
     prime_cache,
     reduced_pipe_dreams,
+    single_beta_polynomial,
     top_beta_polynomial,
 )
 from dlschubert.poly import BetaPolynomial
@@ -249,6 +252,56 @@ def test_beta0_chain_is_the_beta0_part_of_the_family():
             assert stray is None, (v, stray, got.get(stray), expected.get(stray))
     clear_cache()
     assert not betapoly._BETA0
+
+
+def _first_difference(a, b):
+    """The first monomial, in sorted order, where a and b differ, with
+    both coefficients; None if they are equal."""
+    ta, tb = a.terms(), b.terms()
+    m = next((m for m in sorted(ta.keys() | tb.keys()) if ta.get(m) != tb.get(m)), None)
+    return None if m is None else (m, ta.get(m), tb.get(m))
+
+
+CAUCHY_MEMBERS = [(w, len(w)) for n in (1, 2, 3, 4, 5) for w in sorted(perm.all_permutations(n))]
+CAUCHY_MEMBERS += [(w, 5) for w in sorted(perm.all_permutations(3))]
+
+
+def test_cauchy_identity_is_the_family():
+    # sum over v * u = w of beta^k G_u(x) G_(v^-1)(y) against the chain
+    # from the top product, all of S_1..S_5 and S_3 embedded at n = 5
+    clear_cache()
+    for w, n in CAUCHY_MEMBERS:
+        diff = _first_difference(cauchy_polynomial(w, n), double_beta_polynomial(w, n))
+        assert diff is None, (w, n, diff)
+    assert betapoly._SINGLE
+    clear_cache()
+    assert not betapoly._SINGLE
+
+
+def test_cauchy_polynomial_builds_no_member():
+    clear_cache()
+    cauchy_polynomial((2, 1, 4, 3), 4)
+    assert not betapoly._FAMILY
+    # G_w(x) is the member at y = 0
+    for w in perm.all_permutations(4):
+        assert single_beta_polynomial(w) == double_beta_polynomial(w).set_y_zero(), w
+    clear_cache()
+
+
+def test_cauchy_pairs_are_the_demazure_factorizations():
+    # the recursion against the Demazure product of two reduced words,
+    # all of S_1..S_4
+    for n in (1, 2, 3, 4):
+        perms = sorted(perm.all_permutations(n))
+        words = {u: perm.reduced_word(u) for u in perms}
+        products: dict = {}
+        for v in perms:
+            for u in perms:
+                products.setdefault(perm.demazure_product(words[v] + words[u], n), set()).add((v, u))
+        for w in perms:
+            got = [(v, u) for u, vs in cauchy_pairs(w).items() for v in vs]
+            assert len(got) == len(set(got)), w
+            assert set(got) == products[w], w
 
 
 @h.given(small_polys(), st.integers(1, 5))

@@ -20,6 +20,14 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_cli_fresh(capsys, *args):
+    """run_cli in a process that holds no family member yet, as a new
+    process does: a member the process holds never touches the disk
+    cache, so a call that must read or write an entry starts here."""
+    betapoly.clear_cache()
+    return run_cli(capsys, *args)
+
+
 def test_betapoly_latex_frozen(capsys):
     code, out, _ = run_cli(
         capsys, "betapoly", "--w", "[2,1]", "--format", "latex"
@@ -245,7 +253,7 @@ def test_verify_empty_q_list(capsys):
 def test_cache_cold_then_warm(capsys, tmp_path):
     cache_dir = str(tmp_path / "cache")
     args = ("betapoly", "--w", "[3,1,2]", "--cache-dir", cache_dir)
-    code, cold, _ = run_cli(capsys, *args)
+    code, cold, _ = run_cli_fresh(capsys, *args)
     assert code == 0
     entry = tmp_path / "cache" / "double-beta_n3_w3-1-2.json"
     assert entry.exists()
@@ -253,7 +261,7 @@ def test_cache_cold_then_warm(capsys, tmp_path):
     assert data["version"] == 2
     assert data["w"] == "[3,1,2]"
     assert "checksum" in data
-    code, warm, _ = run_cli(capsys, *args)
+    code, warm, _ = run_cli_fresh(capsys, *args)
     assert code == 0
     assert warm == cold
 
@@ -270,11 +278,11 @@ def test_cache_hit_matches_computation(tmp_path):
 def test_cache_poisoned_entry_recovers(capsys, tmp_path):
     cache_dir = str(tmp_path)
     args = ("betapoly", "--w", "[2,1]", "--cache-dir", cache_dir)
-    _, clean, _ = run_cli(capsys, *args)
+    _, clean, _ = run_cli_fresh(capsys, *args)
     entry = tmp_path / "double-beta_n2_w2-1.json"
     entry.write_text("{ not json")
     with pytest.warns(CacheWarning):
-        code, out, _ = run_cli(capsys, *args)
+        code, out, _ = run_cli_fresh(capsys, *args)
     assert code == 0
     assert out == clean
     # the bad entry was replaced by a valid one
@@ -284,13 +292,13 @@ def test_cache_poisoned_entry_recovers(capsys, tmp_path):
 def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
     cache_dir = str(tmp_path)
     args = ("betapoly", "--w", "[2,1]", "--cache-dir", cache_dir)
-    _, clean, _ = run_cli(capsys, *args)
+    _, clean, _ = run_cli_fresh(capsys, *args)
     entry = tmp_path / "double-beta_n2_w2-1.json"
     data = json.loads(entry.read_text())
     data["terms"] = data["terms"].replace("1]", "9]", 1)
     entry.write_text(json.dumps(data))
     with pytest.warns(CacheWarning):
-        code, out, _ = run_cli(capsys, *args)
+        code, out, _ = run_cli_fresh(capsys, *args)
     assert code == 0
     assert out == clean
 
@@ -298,13 +306,13 @@ def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
 def test_cache_version_skew_recovers(capsys, tmp_path):
     cache_dir = str(tmp_path)
     args = ("betapoly", "--w", "[2,1]", "--cache-dir", cache_dir)
-    _, clean, _ = run_cli(capsys, *args)
+    _, clean, _ = run_cli_fresh(capsys, *args)
     entry = tmp_path / "double-beta_n2_w2-1.json"
     data = json.loads(entry.read_text())
     data["version"] = 999
     entry.write_text(json.dumps(data))
     with pytest.warns(CacheWarning):
-        code, out, _ = run_cli(capsys, *args)
+        code, out, _ = run_cli_fresh(capsys, *args)
     assert code == 0
     assert out == clean
 
@@ -313,13 +321,13 @@ def test_cache_entry_of_another_permutation_recovers(capsys, tmp_path):
     # checksum-valid, right w field, but the terms of [3,1,2] (degree 2)
     # under the name of [2,1,3] (degree 1)
     _, clean, _ = run_cli(capsys, "betapoly", "--w", "[2,1,3]")
-    run_cli(capsys, "betapoly", "--w", "[3,1,2]", "--cache-dir", str(tmp_path))
+    run_cli_fresh(capsys, "betapoly", "--w", "[3,1,2]", "--cache-dir", str(tmp_path))
     data = json.loads((tmp_path / "double-beta_n3_w3-1-2.json").read_text())
     data["w"] = "[2,1,3]"
     entry = tmp_path / "double-beta_n3_w2-1-3.json"
     entry.write_text(json.dumps(data))
     with pytest.warns(CacheWarning, match="not homogeneous"):
-        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1,3]",
+        code, out, _ = run_cli_fresh(capsys, "betapoly", "--w", "[2,1,3]",
                                "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == clean
@@ -343,8 +351,8 @@ def test_cache_format_1_entry_is_rewritten(capsys, tmp_path):
     entry = tmp_path / "double-beta_n2_w2-1.json"
     entry.write_text(FORMAT_1_ENTRY)
     with pytest.warns(CacheWarning, match="stale or corrupt"):
-        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1]",
-                               "--cache-dir", str(tmp_path))
+        code, out, _ = run_cli_fresh(capsys, "betapoly", "--w", "[2,1]",
+                                     "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == clean
     data = json.loads(entry.read_text())
@@ -359,8 +367,8 @@ def test_cache_undecodable_entry_recovers(capsys, tmp_path):
     _, clean, _ = run_cli(capsys, "betapoly", "--w", "[2,1]")
     (tmp_path / "double-beta_n2_w2-1.json").write_bytes(b"\xff\xfe\x00garbage")
     with pytest.warns(CacheWarning, match="unreadable"):
-        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1]",
-                               "--cache-dir", str(tmp_path))
+        code, out, _ = run_cli_fresh(capsys, "betapoly", "--w", "[2,1]",
+                                     "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == clean
 
@@ -404,8 +412,8 @@ def test_cache_malformed_rows_recover(capsys, tmp_path, terms):
     entry = tmp_path / "double-beta_n2_w2-1.json"
     entry.write_text(json.dumps(data))
     with pytest.warns(CacheWarning, match="malformed"):
-        code, out, _ = run_cli(capsys, "betapoly", "--w", "[2,1]",
-                               "--cache-dir", str(tmp_path))
+        code, out, _ = run_cli_fresh(capsys, "betapoly", "--w", "[2,1]",
+                                     "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == clean
     assert json.loads(entry.read_text())["terms"] == "[[0,[1],[],1],[0,[],[1],1],[1,[1],[1],1]]"
@@ -448,8 +456,8 @@ def test_cache_hit_prints_like_a_miss(capsys, tmp_path, fmt):
         args = ("betapoly", "--w", w, "--format", fmt, *extra)
         _, clean, _ = run_cli(capsys, *args)
         cache_dir = str(tmp_path / str(i))
-        _, miss, _ = run_cli(capsys, *args, "--cache-dir", cache_dir)
-        _, hit, _ = run_cli(capsys, *args, "--cache-dir", cache_dir)
+        _, miss, _ = run_cli_fresh(capsys, *args, "--cache-dir", cache_dir)
+        _, hit, _ = run_cli_fresh(capsys, *args, "--cache-dir", cache_dir)
         assert clean == miss == hit
 
 
@@ -487,13 +495,13 @@ def test_cache_discard_is_one_stderr_line(tmp_path):
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
-    code, _, _ = run_cli(capsys, "betapoly", "--w", "[2,1,3]")
+    code, _, _ = run_cli_fresh(capsys, "betapoly", "--w", "[2,1,3]")
     assert code == 0
     assert (tmp_path / "double-beta_n3_w2-1-3.json").exists()
 
 
 def test_dlclass_prewarms_family_cache(capsys, tmp_path):
-    code, _, _ = run_cli(
+    code, _, _ = run_cli_fresh(
         capsys,
         "dlclass", "--w", "[2,1,3]", "--q", "2", "--cache-dir", str(tmp_path),
     )
@@ -514,6 +522,28 @@ def test_dlclass_caches_no_member_it_does_not_read(capsys, tmp_path, args):
     assert code == 0
     assert not list(tmp_path.iterdir())
     assert not betapoly._FAMILY
+
+
+def test_betapoly_request_builds_no_top_product(capsys):
+    # the identity's member comes from the Cauchy identity (G_e(x) G_e(y)),
+    # not from the chain down from the top product
+    flagring.clear_caches()
+    code, out, _ = run_cli(capsys, "betapoly", "--n", "4", "--w", "[1,2,3,4]")
+    assert (code, out) == (0, "1\n")
+    assert (4, perm.longest_element(4)) not in betapoly._FAMILY
+    assert betapoly._FAMILY == {(4, (1, 2, 3, 4)): betapoly.BetaPolynomial.one()}
+
+
+def test_held_member_skips_the_disk(capsys, tmp_path, monkeypatch):
+    # a second request for the same member in one process reads no entry
+    gets = []
+    get = PolynomialCache.get
+    monkeypatch.setattr(PolynomialCache, "get", lambda *a: gets.append(a[2:]) or get(*a))
+    args = ("betapoly", "--w", "[3,1,4,2]", "--cache-dir", str(tmp_path))
+    first = run_cli_fresh(capsys, *args)
+    assert gets == [((3, 1, 4, 2), 4)]
+    assert run_cli(capsys, *args) == first
+    assert gets == [((3, 1, 4, 2), 4)]
 
 
 @pytest.mark.parametrize("extra", [
@@ -541,8 +571,9 @@ CACHE_BYTES_WS = sorted(perm.all_permutations(3)) + [
 
 
 def test_dlclass_cache_changes_no_byte(capsys, tmp_path):
-    # no cache, a cold cache and a warm one print the same bytes, also
-    # when the family already holds the member the cache would install
+    # no cache, a cold cache and a warm one print the same bytes; the
+    # cold and warm calls start from an empty family, so they write and
+    # read the entry
     for i, w in enumerate(CACHE_BYTES_WS):
         for q in ("2", "3"):
             for theory in ("ck", "ch", "k0"):
@@ -550,14 +581,14 @@ def test_dlclass_cache_changes_no_byte(capsys, tmp_path):
                         "--theory", theory, "--expand", "--format", "json")
                 cache_dir = str(tmp_path / f"{i}-{q}-{theory}")
                 plain = run_cli(capsys, *args)
-                cold = run_cli(capsys, *args, "--cache-dir", cache_dir)
-                warm = run_cli(capsys, *args, "--cache-dir", cache_dir)
+                cold = run_cli_fresh(capsys, *args, "--cache-dir", cache_dir)
+                warm = run_cli_fresh(capsys, *args, "--cache-dir", cache_dir)
                 assert plain[0] == 0
                 assert cold == plain and warm == plain, (w, q, theory)
 
 
 def test_cache_clear(capsys, tmp_path):
-    run_cli(capsys, "betapoly", "--w", "[2,1]", "--cache-dir", str(tmp_path))
+    run_cli_fresh(capsys, "betapoly", "--w", "[2,1]", "--cache-dir", str(tmp_path))
     code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == "removed 1 cache entries\n"

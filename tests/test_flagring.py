@@ -422,15 +422,18 @@ def test_clear_caches():
     u, v = (2, 1, 3), (1, 3, 2)
     product = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     family = betapoly.double_beta_polynomial((2, 3, 1), 3)
+    cauchy = betapoly.cauchy_polynomial((2, 3, 1), 3)
     series = fgl.n_times_series(5, 3), fgl.inverse_series(3)
     element = dlclass._ck_element((2, 1, 3), 3, 5)
     cls = schubert_class((1, 2, 3), 3)
     assert dlclass._IMAGES and dlclass._pair_form.cache_info().currsize
     assert dlclass._slots(3)
     assert flagring._phi_row.cache_info().currsize
+    assert betapoly._SINGLE
     clear_caches()
     assert not flagring._REDUCE_MEMO
     assert not betapoly._FAMILY
+    assert not betapoly._SINGLE
     assert not dlclass._IMAGES
     for cached in (
         schubert_class,
@@ -451,7 +454,7 @@ def test_clear_caches():
     assert schubert_class((1, 2, 3), 3) == cls
     again = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     assert again.coefficients == product.coefficients
-    assert betapoly.double_beta_polynomial((2, 3, 1), 3) == family
+    assert betapoly.double_beta_polynomial((2, 3, 1), 3) == family == cauchy
     assert dlclass._ck_element((2, 1, 3), 3, 5) == element
 
 
