@@ -51,8 +51,10 @@ terms come from betapoly's beta^0 chain (betapoly.beta0_polynomial), so
 a CH class builds no pair form, no image and no full member; neither
 does the identity in any theory, whose member w0 has only top-degree
 terms, folded at beta^0.  The K0 class is the CK sum with every beta
-exponent dropped.  Both are expanded against the Schubert basis at
-their beta (flagring.schubert_expand).
+exponent dropped.  Every class is summed once, as {slot: coeff}: the
+element is built from that sum, and the same sum is expanded against
+the Schubert basis at the theory's beta (flagring.schubert_expand_slots),
+so no request reads its element back from tuple keys.
 q is a concrete integer; Frobenius twists make geometric sense for
 prime powers only, so other q >= 2 raise a warning (an error under
 strict validation).
@@ -72,7 +74,7 @@ from .flagring import (
     FlagRingElement,
     SchubertExpansion,
     normal_form,
-    schubert_expand,
+    schubert_expand_slots,
     staircase_monomials,
 )
 from .perm import Permutation
@@ -265,17 +267,21 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
     is a function of (v, n); the memo keeps the form, not the member.
     """
     top = n * (n - 1) // 2 - perm.length(v)
+    # a_i has place n^(2(n-1-i)+1) and b_j place n^(2j), so the code is
+    # that of a plus that of b: each distinct a and b is encoded once
+    xs: dict[tuple[int, ...], int] = {}
+    ys: dict[tuple[int, ...], int] = {}
     form: list[int] = []
     for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
         if be >= top:
             continue
-        c = -c if be % 2 else c  # flip_beta_sign
-        xe = xe + (0,) * (n - len(xe))
-        ye = ye + (0,) * (n - len(ye))
-        code = 0
-        for i in range(n):
-            code = (code * n + xe[i]) * n + ye[n - 1 - i]
-        form += (code, be, c)
+        x = xs.get(xe)
+        if x is None:
+            x = xs[xe] = sum(a * n ** (2 * (n - 1 - i) + 1) for i, a in enumerate(xe))
+        y = ys.get(ye)
+        if y is None:
+            y = ys[ye] = sum(b * n ** (2 * j) for j, b in enumerate(ye))
+        form += (x + y, be, -c if be % 2 else c)  # flip_beta_sign
     return tuple(form)
 
 
@@ -420,7 +426,13 @@ def _fold_exponent(v: Permutation, n: int, beta: int | None) -> int:
 
 
 def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> FlagRingElement:
-    """The class of w as an element, in CK or at beta = 0 or 1.
+    """The class of w as an element, in CK or at beta = 0 or 1."""
+    return FlagRingElement.from_slots(n, _class_slots(w, n, q, beta))
+
+
+def _class_slots(w: Permutation, n: int, q: int, beta: int | None = None) -> dict[int, int]:
+    """The class of w as {slot: coeff}, in CK or at beta = 0 or 1; some
+    coefficients may be 0.
 
     In CK it is the sum c * beta^e * image(pairs) over the pair form of
     the member of w.w0, plus the point part, the fold at the top beta
@@ -430,7 +442,7 @@ def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> Flag
     the fold of the beta^0 terms alone: it builds no pair form, no image
     and no full member.  Images and reduced monomials are in normal
     form already."""
-    v = perm.compose(w, perm.longest_element(n))
+    v = tuple(w)[::-1]  # w.w0: w0 = (n, .., 1) reverses one-line notation
     e = _fold_exponent(v, n, beta)
     acc: dict[int, int] = {}
     get = acc.get
@@ -458,7 +470,7 @@ def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> Flag
     for slot, row in _fold(v, n, e):
         slot += shift
         acc[slot] = get(slot, 0) + sum(map(mul, row, powers))
-    return FlagRingElement.from_slots(n, acc)
+    return acc
 
 
 def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
@@ -478,8 +490,9 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
 def _dl_class(query: DLQuery) -> DLResult:
     """dl_class of a query that has been validated."""
     beta = BETA[query.theory]
-    element = _ck_element(query.w, query.n, query.q, beta)
-    expansion = schubert_expand(element, beta)
+    slots = _class_slots(query.w, query.n, query.q, beta)
+    element = FlagRingElement.from_slots(query.n, slots)
+    expansion = schubert_expand_slots(query.n, slots, beta)
     meta = {
         "w": perm.format_permutation(query.w),
         "n": query.n,

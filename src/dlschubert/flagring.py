@@ -34,7 +34,12 @@ The lead of a class, the lex-largest monomial of its x-degree
 length(w) part, has coefficient +-1 and differs for each w (_leads
 checks both).  Ordered by degree and then by descending lead, the
 classes are unitriangular against their leads, so expansion is one
-pass of integer subtractions.
+pass of integer subtractions.  The pass of _leads over the basis also
+keeps each class as an integer row, its terms but the lead as flat
+(staircase index, beta exponent, coeff) triples, and expansion runs on
+a residual keyed by staircase index.  A dl_class request expands the
+slot sum it computed (schubert_expand_slots) and builds no tuple key
+for it; schubert_expand turns an element's tuple keys into indices.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ def staircase_monomials(n: int) -> tuple[tuple[int, ...], ...]:
 # class is at most its x-degree, so <= n(n-1)/2; products and normal
 # forms refuse a beta exponent that would spill into the index.
 _BETA_BITS = 16
+_LOW = (1 << _BETA_BITS) - 1  # slot & _LOW: its beta exponent
 
 
 def _index(m: Iterable[int]) -> int:
@@ -85,6 +91,21 @@ def _staircase(n: int, index: int) -> tuple[int, ...]:
     for k in range(n - 1, 0, -1):
         index, exps[k] = divmod(index, k + 1)
     return tuple(exps)
+
+
+@functools.lru_cache(maxsize=None)
+def _indices(n: int) -> dict[tuple[int, ...], int]:
+    """{staircase monomial: its index} for S_n, the inverse of _staircase
+    over the whole basis."""
+    return {m: i for i, m in enumerate(staircase_monomials(n))}
+
+
+@functools.lru_cache(maxsize=None)
+def _keys(n: int) -> dict[int, TermKey]:
+    """The term keys of the slots of S_n met so far, {slot: (staircase
+    exponents, beta exponent)}: elements built by from_slots share these
+    tuples instead of each building its own."""
+    return {}
 
 
 def is_staircase(exps: tuple[int, ...]) -> bool:
@@ -218,9 +239,19 @@ class FlagRingElement(poly.SparseTerms):
 
     @classmethod
     def from_slots(cls, n: int, slots: Mapping[int, int]) -> "FlagRingElement":
-        """The element with coefficient c at each slot of {slot: c}."""
-        low = (1 << _BETA_BITS) - 1
-        return cls(n, {(_staircase(n, s >> _BETA_BITS), s & low): c for s, c in slots.items()})
+        """The element with coefficient c at each slot of {slot: c}; its
+        term keys are the shared tuples of _keys(n)."""
+        keys = _keys(n)
+        terms = {}
+        for s, c in slots.items():
+            if c:
+                key = keys.get(s)
+                if key is None:
+                    key = keys[s] = (_staircase(n, s >> _BETA_BITS), s & _LOW)
+                terms[key] = c
+        element = cls(n)
+        element._terms = terms
+        return element
 
     @classmethod
     def beta(cls, n: int) -> "FlagRingElement":
@@ -383,10 +414,19 @@ def schubert_class(w: perm.Permutation, n: int | None = None) -> FlagRingElement
     return FlagRingElement.from_slots(n, out)
 
 
+# n -> (leads, rows), the Schubert basis as integer rows, filled by
+# _leads: leads[k] is the staircase index of the k-th lead in expansion
+# order and rows[k] = (rank, w, sign, row) its class, where rank is w's
+# place by (length(w), w) and row the class without its lead term, a
+# flat (index, beta exponent, coeff, ..) tuple
+_BASIS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, perm.Permutation, int, tuple[int, ...]], ...]]] = {}
+
+
 @functools.lru_cache(maxsize=None)
 def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
     """The Schubert basis as (lead monomial, w, sign) triples, sorted by
-    degree and then by descending lead.
+    degree and then by descending lead, read from the tuple keys of the
+    classes; the same pass stores their integer rows in _BASIS[n].
 
     The lead of w is the lex-largest monomial of the beta-free part of
     its class (by gradedness, its part of x-degree length(w)), and sign
@@ -396,25 +436,37 @@ def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
     unitriangular in this order.  Otherwise SingularTransitionError is
     raised.
     """
-    found: dict[tuple[int, ...], tuple[perm.Permutation, int]] = {}
+    index = _indices(n)
+    found: dict[tuple[int, ...], tuple[perm.Permutation, int, tuple[int, ...]]] = {}
     for w in perm.all_permutations(n):
-        part = {m: c for (m, be), c in schubert_class(w, n)._terms.items() if not be}
-        lead = max(part, default=None)
-        sign = part.get(lead, 0)
+        terms = schubert_class(w, n)._terms
+        lead = max((m for m, be in terms if not be), default=None)
+        sign = terms.get((lead, 0), 0)
         if sign not in (1, -1):
             raise SingularTransitionError(f"class of {w} has leading coefficient {sign}")
         if lead in found:
             raise SingularTransitionError(f"classes of {found[lead][0]} and {w} share a lead")
-        found[lead] = (w, sign)
+        row: list[int] = []
+        for (m, be), c in terms.items():
+            if be or m != lead:
+                row += (index[m], be, c)
+        found[lead] = (w, sign, tuple(row))
     order = sorted(found, key=lambda m: (sum(m), tuple(-e for e in m)))
-    return tuple((m, *found[m]) for m in order)
+    # the lead's degree is length(w)
+    rank = {m: k for k, m in enumerate(sorted(found, key=lambda m: (sum(m), found[m][0])))}
+    _BASIS[n] = (
+        tuple(index[m] for m in order),
+        tuple((rank[m], *found[m]) for m in order),
+    )
+    return tuple((m, *found[m][:2]) for m in order)
 
 
 def clear_caches() -> None:
-    """Empty every memo of the engine: the inverse of the staircase
-    index, monomial codes and the codes of the rewriting relations,
-    monomial reduction, the rows of phi_i on the staircase basis,
-    Schubert classes and their leads, the double beta-polynomial family,
+    """Empty every memo of the engine: the staircase index and its
+    inverse, the shared term keys of slots (_keys), monomial codes and
+    the codes of the rewriting relations, monomial reduction, the rows
+    of phi_i on the staircase basis, Schubert classes, their leads and
+    their integer rows (_BASIS), the double beta-polynomial family,
     its beta^0 chain and the single polynomials G_w(x) that the Cauchy
     identity sums (betapoly._SINGLE), the series [q]t and inverse(t) of
     the formal group law, the reduced Deligne-Lusztig monomial images, the product
@@ -425,15 +477,17 @@ def clear_caches() -> None:
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
-    3,015 and 28,786 reduced monomials).  The images grow with every
+    3,015 and 28,786 reduced monomials), and n! integer rows of 755
+    triples at n = 5 and 19,771 at n = 6.  The images grow with every
     (n, q) of a CK or K0 class: all 120 classes of S_5 at q = 2, 3, 5 in
     each theory leave 18,705 images with 173,243 entries, pair forms of
     89,531 terms and four series (three [q]t, one inverse(t)).  The
     family (120 members, 153,396 terms), its beta^0 chain (120 members,
     14,772 terms), the folds (239, with 1,038 slot rows at beta^0 and 22
     at the top), reduced monomials (2,508, 4,752 slot pairs), decoded
-    indices (120) and layouts (5) do not grow with q, and the slots
-    (481) stay below n! (n(n-1)/2 + 1).  Such a process peaks at about
+    indices and their inverse (120 each) and layouts (5) do not grow with
+    q, and the slots (481) and their term keys (552; 2,897 once the S_6
+    basis is built) stay below n! (n(n-1)/2 + 1).  Such a process peaks at about
     46 MB resident.  Only the CLI fills _SINGLE: a `betapoly` request
     for every member of S_5 leaves its 120 single polynomials with 807
     terms (720 with 16,855 terms for S_6).
@@ -441,6 +495,8 @@ def clear_caches() -> None:
     from . import dlclass, fgl  # imported here: both import this module
 
     _staircase.cache_clear()
+    _indices.cache_clear()
+    _keys.cache_clear()
     _coding.cache_clear()
     _h_offsets.cache_clear()
     _REDUCE_MEMO.clear()
@@ -449,6 +505,7 @@ def clear_caches() -> None:
     fgl.inverse_series.cache_clear()
     schubert_class.cache_clear()
     _leads.cache_clear()
+    _BASIS.clear()
     betapoly.clear_cache()
     dlclass._IMAGES.clear()
     dlclass._pair_form.cache_clear()
@@ -526,43 +583,101 @@ def schubert_expand(a: FlagRingElement, beta: int | None = None) -> SchubertExpa
     or 1, those of a at that beta in the classes at that beta: the
     result is schubert_expand(a).specialize_beta(beta).
 
-    One pass over _leads(n): the coordinate of w is its sign times the
-    residual's row at its lead, and subtracting that multiple of the
-    class in place zeroes the row.  At beta = 0 only the beta^0 terms of
-    a class are subtracted, at beta = 1 every term at beta exponent 0.
-    The lead of a class is beta-free and a beta^k term has x-degree k
-    above it, so the specialized basis is unitriangular in the same
-    order.  A residual left at the end (a term off the staircase) raises
+    It reads a's tuple keys once, into a residual keyed by staircase
+    index, and expands that by the integer rows of _BASIS[n] in the
+    order of _leads(n): the coordinate of w is its sign times the
+    residual at its lead, and subtracting that multiple of the class's
+    row zeroes it.  At beta = 0 only the beta^0 terms of a class are
+    subtracted, at beta = 1 every term at beta exponent 0.  The lead of
+    a class is beta-free and a beta^k term has x-degree k above it, so
+    the specialized basis is unitriangular in the same order.  A term
+    off the staircase, or a residual left at the end, raises
     SingularTransitionError.
     """
     if beta not in (None, 0, 1):
         raise ValueError(f"beta must be None, 0 or 1, got {beta!r}")
     n = a.n
-    residual: dict[tuple[int, ...], BetaScalar] = {}
+    index = _indices(n)
+    residual: dict = {}
     for (m, be), c in a._terms.items():
-        if beta is not None:
-            if be and not beta:
-                continue
-            be = 0
-        row = residual.setdefault(m, {})
-        row[be] = row.get(be, 0) + c
-    found = []
-    for lead, w, sign in _leads(n):
-        scalar = {be: sign * c for be, c in residual.get(lead, {}).items() if c}
-        if not scalar:
+        if be and beta == 0:
             continue
-        found.append((sum(lead), w, scalar))  # the lead's degree is length(w)
-        for (m, bs), cs in schubert_class(w, n)._terms.items():
-            if beta is not None:
-                if bs and not beta:
-                    continue
-                bs = 0
-            row = residual.setdefault(m, {})
-            for be, v in scalar.items():
-                row[be + bs] = row.get(be + bs, 0) - v * cs
-    if any(c for row in residual.values() for c in row.values()):
+        i = index.get(m)
+        if i is None:
+            raise SingularTransitionError(f"term x^{m} is not a staircase monomial of n={n}")
+        if beta is None:
+            row = residual.setdefault(i, {})
+            row[be] = row.get(be, 0) + c
+        else:
+            residual[i] = residual.get(i, 0) + c
+    return _expand(n, residual, beta)
+
+
+def schubert_expand_slots(n: int, slots: Mapping[int, int], beta: int | None = None) -> SchubertExpansion:
+    """schubert_expand of FlagRingElement.from_slots(n, slots), read from
+    the slots: the element is never built."""
+    residual: dict = {}
+    if beta is None:
+        for s, c in slots.items():
+            if c:
+                row = residual.get(s >> _BETA_BITS)
+                if row is None:
+                    residual[s >> _BETA_BITS] = {s & _LOW: c}
+                else:
+                    row[s & _LOW] = c
+    else:
+        for s, c in slots.items():
+            if c and (beta or not s & _LOW):
+                i = s >> _BETA_BITS
+                residual[i] = residual.get(i, 0) + c
+    return _expand(n, residual, beta)
+
+
+def _expand(n: int, residual: dict, beta: int | None) -> SchubertExpansion:
+    """The expansion at beta of the residual {staircase index: scalar},
+    the scalar a BetaScalar at beta = None and an int at beta = 0 or 1,
+    by the rows of _BASIS[n]; the residual is used up.  At beta = 0 a
+    row's beta^k terms, k > 0, are skipped, at beta = 1 every beta
+    exponent is dropped."""
+    if n not in _BASIS:
+        _leads(n)
+    leads, rows = _BASIS[n]
+    pop = residual.pop
+    found = []
+    if beta is None:
+        for k, r in enumerate(map(pop, leads, itertools.repeat(None))):
+            if r is None:
+                continue
+            rank, w, sign, row = rows[k]
+            scalar = {be: sign * c for be, c in r.items() if c}
+            if not scalar:
+                continue
+            found.append((rank, w, scalar))
+            it = iter(row)
+            for i, bs, cs in zip(it, it, it):
+                target = residual.get(i)
+                if target is None:
+                    target = residual[i] = {}
+                for be, v in scalar.items():
+                    be += bs
+                    target[be] = target.get(be, 0) - v * cs
+        left = any(c for r in residual.values() for c in r.values())
+    else:
+        get = residual.get
+        for k, c in enumerate(map(pop, leads, itertools.repeat(0))):
+            if not c:
+                continue
+            rank, w, sign, row = rows[k]
+            c *= sign
+            found.append((rank, w, {0: c}))
+            it = iter(row)
+            for i, bs, cs in zip(it, it, it):
+                if beta or not bs:
+                    residual[i] = get(i, 0) - c * cs
+        left = any(residual.values())
+    if left:
         raise SingularTransitionError("expansion left a nonzero residual")
-    found.sort(key=lambda f: f[:2])
+    found.sort()
     return SchubertExpansion(n, {w: scalar for _, w, scalar in found})
 
 

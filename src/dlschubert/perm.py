@@ -305,4 +305,4 @@ def format_permutation(w: Permutation) -> str:
     >>> format_permutation((3, 1, 2))
     '[3,1,2]'
     """
-    return "[" + ",".join(str(v) for v in w) + "]"
+    return "[" + ",".join(map(str, w)) + "]"

@@ -226,10 +226,10 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     ],
 )
 def test_computation_failure_exit_code(capsys, monkeypatch, exc):
-    def fake(element, beta=None):
+    def fake(n, slots, beta=None):
         raise exc
 
-    monkeypatch.setattr(cli.dlclass, "schubert_expand", fake)
+    monkeypatch.setattr(cli.dlclass, "schubert_expand_slots", fake)
     code, out, err = run_cli(capsys, "dlclass", "--w", "[1,2]", "--q", "2")
     assert code == 4
     assert out == ""

@@ -430,8 +430,10 @@ def test_clear_caches():
     assert dlclass._slots(3)
     assert flagring._phi_row.cache_info().currsize
     assert betapoly._SINGLE
+    assert flagring._BASIS and flagring._indices(3) and flagring._keys(3)
     clear_caches()
     assert not flagring._REDUCE_MEMO
+    assert not flagring._BASIS
     assert not betapoly._FAMILY
     assert not betapoly._SINGLE
     assert not dlclass._IMAGES
@@ -439,6 +441,8 @@ def test_clear_caches():
         schubert_class,
         _leads,
         flagring._staircase,
+        flagring._indices,
+        flagring._keys,
         flagring._coding,
         flagring._h_offsets,
         flagring._phi_row,
@@ -517,8 +521,7 @@ def test_s6_basis_smoke():
     assert len(leads) == math.factorial(6)
     sizes = [sum(1 for m, _, _ in leads if sum(m) == l) for l in range(16)]
     assert max(sizes) == 101
-    rng = random.Random(66)
-    for w in rng.sample(sorted(perm.all_permutations(6)), 12):
+    for w in perm.all_permutations(6):
         assert schubert_expand(schubert_class(w, 6)).coefficients == {w: {0: 1}}, w
 
 
@@ -531,6 +534,83 @@ def test_leads_are_the_inversion_codes():
             code = tuple(sum(w[j] > w[k] for j in range(k)) for k in range(n))
             expected.add((code, w, (-1) ** perm.length(w)))
         assert set(_leads(n)) == expected, n
+
+
+def tuple_keyed_expand(a, beta=None):
+    """The expansion as it was computed on tuple keys, before the
+    Schubert classes were kept as integer rows: the oracle of the slot
+    expansion."""
+    n = a.n
+    residual = {}
+    for (m, be), c in a._terms.items():
+        if beta is not None:
+            if be and not beta:
+                continue
+            be = 0
+        row = residual.setdefault(m, {})
+        row[be] = row.get(be, 0) + c
+    found = []
+    for lead, w, sign in _leads(n):
+        scalar = {be: sign * c for be, c in residual.get(lead, {}).items() if c}
+        if not scalar:
+            continue
+        found.append((sum(lead), w, scalar))
+        for (m, bs), cs in schubert_class(w, n)._terms.items():
+            if beta is not None:
+                if bs and not beta:
+                    continue
+                bs = 0
+            row = residual.setdefault(m, {})
+            for be, v in scalar.items():
+                row[be + bs] = row.get(be + bs, 0) - v * cs
+    if any(c for row in residual.values() for c in row.values()):
+        raise SingularTransitionError("expansion left a nonzero residual")
+    found.sort(key=lambda f: f[:2])
+    return SchubertExpansion(n, {w: scalar for _, w, scalar in found})
+
+
+def same_expansion(got, want):
+    """Equal coordinates, listed in the same order."""
+    return got == want and list(got.coefficients) == list(want.coefficients)
+
+
+def test_slot_expansion_matches_tuple_keyed_oracle_on_classes():
+    for n in range(1, 6):
+        for q in (2, 3):
+            for theory, beta in dlclass.BETA.items():
+                for w in perm.all_permutations(n):
+                    result = dlclass.dl_class(dlclass.DLQuery(w, n, q, theory))
+                    want = tuple_keyed_expand(result.element, beta)
+                    assert same_expansion(result.expansion, want), (w, q, theory)
+                    assert same_expansion(schubert_expand(result.element, beta), want)
+
+
+def test_slot_expansion_matches_tuple_keyed_oracle_at_n6():
+    rng = random.Random(6)
+    for w in rng.sample(sorted(perm.all_permutations(6)), 6):
+        result = dlclass.dl_class_ck(w, 6, 2)
+        assert same_expansion(result.expansion, tuple_keyed_expand(result.element)), w
+
+
+def test_slot_expansion_matches_tuple_keyed_oracle_on_combinations():
+    # random Z[beta] combinations of classes plus stray staircase terms:
+    # neither homogeneous nor one beta power per coordinate
+    rng = random.Random(28)
+    for n in (2, 3, 4):
+        ws = sorted(perm.all_permutations(n))
+        for _ in range(25):
+            a = F.zero(n)
+            for w in rng.sample(ws, min(len(ws), 5)):
+                scalar = {be: rng.randint(-4, 4) for be in rng.sample(range(4), 2)}
+                a = a + F.from_scalar(n, scalar) * schubert_class(w, n)
+            a = a + random_element(n, rng, beta_max=3, coeff=1)
+            index = flagring._indices(n)
+            slots = {index[m] << flagring._BETA_BITS | be: c for (m, be), c in a._terms.items()}
+            for beta in (None, 0, 1):
+                want = tuple_keyed_expand(a, beta)
+                assert same_expansion(schubert_expand(a, beta), want), (a, beta)
+                got = flagring.schubert_expand_slots(n, slots, beta)
+                assert same_expansion(got, want), (a, beta)
 
 
 def test_expand_schubert_classes_are_unit_vectors():
