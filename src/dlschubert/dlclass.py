@@ -17,13 +17,13 @@ fgl.inverse_series) at t = x_i.
 
 The substitution is a ring map, hence linear on the family, and all
 members of S_n together use at most n!^2 distinct monomials.  So the
-image of a monomial is built once per (n, q, monomial) and memoized as
-a flat tuple of (staircase slot, coeff) pairs.  One recursive builder
-makes it: the image of the same monomial with one generator factor
-fewer in its last pair, times that factor's series, by one product
-kernel that shifts slots while a product stays in the staircase and
-reads the others from flagring's memo of reduced monomials, which the
-Schubert basis and the ring product read too.
+image of a monomial at beta = 1 is built once per (n, q, monomial) and
+memoized as a flat tuple of (staircase slot, coeff) pairs.  One
+recursive builder makes it: the image of the same monomial with one
+generator factor fewer in its last pair, times that factor's series,
+by one product kernel that shifts slots while a product stays in the
+staircase and reads the others from flagring's memo of reduced
+monomials, which the Schubert basis and the ring product read too.
 
 The member of v = w.w0 is homogeneous: its beta^e terms have x,y-degree
 length(v) + e.  Where only the lowest entry q^a (-1)^b t^(a+b) of each
@@ -32,9 +32,9 @@ c q^|a| (-1)^|b| beta^e times the reduced monomial of the pair sums
 a_i + b_{n+1-i}, so the beta^e terms fold into one polynomial in q per
 staircase monomial (_fold).  That holds at e = n(n-1)/2 - length(v),
 the top degree, where the higher entries pass n(n-1)/2: the fold there
-is the point part of the class.  A CK class is the sparse sum
-c * beta^e * image over the lower terms of the member, read from a
-memoized "pair form" of it, plus its point part at q; the sum of
+is the point part of the class.  A K0 class is the sparse sum
+c * image over the lower terms of the member, read from a memoized
+"pair form" of it at beta = 1, plus its point part at q; the sum of
 reduced images is already in normal form, so no class is reduced as a
 whole.  The images are the engine's largest memo;
 flagring.clear_caches() empties them.
@@ -50,11 +50,13 @@ the CH class is the fold of the member's beta^0 terms alone.  Those
 terms come from betapoly's beta^0 chain (betapoly.beta0_polynomial), so
 a CH class builds no pair form, no image and no full member; neither
 does the identity in any theory, whose member w0 has only top-degree
-terms, folded at beta^0.  The K0 class is the CK sum with every beta
-exponent dropped.  Every class is summed once, as {slot: coeff}: the
-element is built from that sum, and the same sum is expanded against
-the Schubert basis at the theory's beta (flagring.schubert_expand_slots),
-so no request reads its element back from tuple keys.
+terms, folded at beta^0.  CK = K0 lifted by degree: with deg beta = -1
+the class of w is homogeneous of degree d = length(w.w0), so its term
+c beta^e x^m has e = |m| - d and its coordinate at u exponent
+length(u) - d.  Every class is summed once, at beta = 0 or 1, as
+{slot: coeff}: the element is built from that sum and the same sum is
+expanded (flagring.schubert_expand_slots), each lifted in CK, so no
+request reads its element back from tuple keys.
 q is a concrete integer; Frobenius twists make geometric sense for
 prime powers only, so other q >= 2 raise a warning (an error under
 strict validation).
@@ -80,7 +82,7 @@ from .flagring import (
 from .perm import Permutation
 
 THEORIES = ("CK", "CH", "K0")
-BETA = {"CK": None, "CH": 0, "K0": 1}  # the beta each theory works at
+BETA = {"CK": None, "CH": 0, "K0": 1}  # each theory's beta; CK's is formal
 
 CONVENTIONS = {
     "basis": "staircase",
@@ -236,12 +238,12 @@ class DLResult:
         }
 
 
-# Images of the substitution, one per (n, q, monomial), reduced once:
-# _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff, slot, coeff,
-# ..) where slot = staircase index << _BETA_BITS | beta exponent, for a
-# code below x-degree n(n-1)/2, with the bases _build made it from; the
-# top-degree terms never reach it (they fold into the point part), and
-# CH classes build none.
+# Images of the substitution at beta = 1, one per (n, q, monomial),
+# reduced once: _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff,
+# slot, coeff, ..) where slot = staircase index << _BETA_BITS (beta
+# exponent 0), for a code below x-degree n(n-1)/2, with the bases _build
+# made it from; the top-degree terms never reach it (they fold into the
+# point part), and CH classes build none.
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
 
@@ -255,10 +257,11 @@ def _slots(n: int) -> dict[int, int]:
 @functools.lru_cache(maxsize=None)
 def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
     """The beta-sign-flipped double beta-polynomial of v below x,y-degree
-    n(n-1)/2, as a flat tuple (pair code, beta exponent, coeff, ..).
+    n(n-1)/2, as a flat tuple (pair code, coeff, ..) at beta = 1.
 
     The member is homogeneous, so these are its terms with beta exponent
-    below n(n-1)/2 - length(v).  Pair i of a term x^a y^b beta^e is
+    below n(n-1)/2 - length(v), each at its own code, which fixes its
+    degree and so its beta exponent.  Pair i of a term x^a y^b beta^e is
     (a_i, b_{n+1-i}); the pairs are encoded in base n, which is
     injective because every member has x_i-degree at most n - i and
     y_j-degree at most n - j (the staircase of the top product, which
@@ -281,7 +284,7 @@ def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
         y = ys.get(ye)
         if y is None:
             y = ys[ye] = sum(b * n ** (2 * j) for j, b in enumerate(ye))
-        form += (x + y, be, -c if be % 2 else c)  # flip_beta_sign
+        form += (x + y, -c if be % 2 else c)  # flip_beta_sign
     return tuple(form)
 
 
@@ -358,30 +361,28 @@ def _layouts(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
 
 
 def _times(n: int, flat: tuple[int, ...], j: int, series: fgl.Series) -> tuple[int, ...]:
-    """Normal form of the flat element `flat` times the univariate series
-    `series` ((d, beta exponent, coeff), .. by ascending d) at t = x_{j+1},
-    as a flat (slot, coeff, ..) tuple."""
+    """Normal form at beta = 1 of the flat element `flat` times the series
+    `series` ((d, beta exponent, coeff), .. by ascending d; the exponent
+    is not read) at t = x_{j+1}, as a flat (slot, coeff, ..) tuple."""
     step, unit, rows = _layouts(n)[j]
     reduced = flagring._REDUCE_MEMO.setdefault(n, {})
-    low = (1 << _BETA_BITS) - 1
     out: dict[int, int] = {}
     get = out.get
     pairs = iter(flat)
     for slot, c in zip(pairs, pairs):
         room, most, code = rows[slot >> _BETA_BITS]
-        for d, tb, tc in series:
+        for d, _, tc in series:
             if d > most:
                 break
             if d <= room:
-                s = slot + d * step + tb
+                s = slot + d * step
                 out[s] = get(s, 0) + c * tc
                 continue
             row = reduced.get(code + d * unit)
             if row is None:
                 row = flagring._reduce_code(n, code + d * unit)
-            be, c2 = (slot & low) + tb, c * tc
-            for rs, rc in row:
-                s = be + rs
+            c2 = c * tc
+            for s, rc in row:
                 out[s] = get(s, 0) + c2 * rc
     slots = _slots(n)
     product: list[int] = []
@@ -427,17 +428,27 @@ def _fold_exponent(v: Permutation, n: int, beta: int | None) -> int:
 
 def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> FlagRingElement:
     """The class of w as an element, in CK or at beta = 0 or 1."""
-    return FlagRingElement.from_slots(n, _class_slots(w, n, q, beta))
+    return FlagRingElement.from_slots(n, _theory_slots(w, n, q, beta)[0])
 
 
-def _class_slots(w: Permutation, n: int, q: int, beta: int | None = None) -> dict[int, int]:
-    """The class of w as {slot: coeff}, in CK or at beta = 0 or 1; some
+def _theory_slots(w: Permutation, n: int, q: int, beta: int | None) -> tuple[dict[int, int], int | None]:
+    """The class of w as {slot: coeff} in CK or at beta = 0 or 1, and in
+    CK its degree d = length(w.w0), else None: in CK it is the K0 class
+    with each term c x^m lifted to c beta^(|m| - d) x^m."""
+    if beta is not None:
+        return _class_slots(w, n, q, beta), None
+    d = n * (n - 1) // 2 - perm.length(w)
+    degrees = flagring._degrees(n)
+    return {s + degrees[s >> _BETA_BITS] - d: c for s, c in _class_slots(w, n, q, 1).items()}, d
+
+
+def _class_slots(w: Permutation, n: int, q: int, beta: int) -> dict[int, int]:
+    """The class of w as {slot: coeff} at beta = 0 or 1; some
     coefficients may be 0.
 
-    In CK it is the sum c * beta^e * image(pairs) over the pair form of
-    the member of w.w0, plus the point part, the fold at the top beta
-    exponent evaluated at q.  At beta = 1 (K0) it is the same sum with
-    every beta exponent dropped.  At beta = 0 (CH), and for the identity
+    At beta = 1 (K0) it is the sum c * image(pairs) over the pair form
+    of the member of w.w0, plus the point part, the fold at the top beta
+    exponent evaluated at q.  At beta = 0 (CH), and for the identity
     (whose member, the top product, has only top-degree terms), it is
     the fold of the beta^0 terms alone: it builds no pair form, no image
     and no full member.  Images and reduced monomials are in normal
@@ -448,27 +459,17 @@ def _class_slots(w: Permutation, n: int, q: int, beta: int | None = None) -> dic
     get = acc.get
     if e:
         images = _IMAGES.setdefault((n, q), {0: (0, 1)})
-        index = ~((1 << _BETA_BITS) - 1)  # slot & index: the slot at beta = 1
         it = iter(_pair_form(v, n))
-        for code, be, c in zip(it, it, it):
+        for code, c in zip(it, it):
             image = images.get(code)
             if image is None:
                 image = _build(n, q, code)
             pairs = iter(image)
-            if beta is None:
-                for slot, ic in zip(pairs, pairs):
-                    slot += be
-                    acc[slot] = get(slot, 0) + c * ic
-            else:
-                for slot, ic in zip(pairs, pairs):
-                    slot &= index
-                    acc[slot] = get(slot, 0) + c * ic
-    shift = e if beta is None else 0
-    # the fold's degree in q, length(v) + e: the top degree unless in CH
-    degree = perm.length(v) if beta == 0 else n * (n - 1) // 2
-    powers = [q**k for k in range(degree + 1)]
+            for slot, ic in zip(pairs, pairs):
+                acc[slot] = get(slot, 0) + c * ic
+    # the fold's degree in q: the top degree unless in CH
+    powers = [q**k for k in range(perm.length(v) + e + 1)]
     for slot, row in _fold(v, n, e):
-        slot += shift
         acc[slot] = get(slot, 0) + sum(map(mul, row, powers))
     return acc
 
@@ -481,7 +482,7 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
     are the beta = 0 (resp. beta = 1) specializations of the CK result;
     the coefficients then sit on the correspondingly specialized
     Schubert classes.  Each is computed at its beta, not from the CK
-    result.
+    result; the CK result is the K0 one lifted by degree.
     """
     query.validate(strict=strict)
     return _dl_class(query)
@@ -490,9 +491,9 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
 def _dl_class(query: DLQuery) -> DLResult:
     """dl_class of a query that has been validated."""
     beta = BETA[query.theory]
-    slots = _class_slots(query.w, query.n, query.q, beta)
+    slots, d = _theory_slots(query.w, query.n, query.q, beta)
     element = FlagRingElement.from_slots(query.n, slots)
-    expansion = schubert_expand_slots(query.n, slots, beta)
+    expansion = schubert_expand_slots(query.n, slots, 1 if beta is None else beta, d)
     meta = {
         "w": perm.format_permutation(query.w),
         "n": query.n,

@@ -37,9 +37,12 @@ classes are unitriangular against their leads, so expansion is one
 pass of integer subtractions.  The pass of _leads over the basis also
 keeps each class as an integer row, its terms but the lead as flat
 (staircase index, beta exponent, coeff) triples, and expansion runs on
-a residual keyed by staircase index.  A dl_class request expands the
-slot sum it computed (schubert_expand_slots) and builds no tuple key
-for it; schubert_expand turns an element's tuple keys into indices.
+a residual keyed by staircase index, at beta = 0 or 1: with
+deg beta = -1, an element homogeneous of degree d has coordinates
+c beta^(length(w) - d), its beta = 1 ones lifted by degree.  A dl_class
+request expands the slot sum it computed (schubert_expand_slots) and
+builds no tuple key for it; schubert_expand turns an element's tuple
+keys into indices, one residual per degree.
 """
 
 from __future__ import annotations
@@ -98,6 +101,12 @@ def _indices(n: int) -> dict[tuple[int, ...], int]:
     """{staircase monomial: its index} for S_n, the inverse of _staircase
     over the whole basis."""
     return {m: i for i, m in enumerate(staircase_monomials(n))}
+
+
+@functools.lru_cache(maxsize=None)
+def _degrees(n: int) -> tuple[int, ...]:
+    """The x-degree of each staircase monomial of S_n, by index."""
+    return tuple(map(sum, staircase_monomials(n)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -462,40 +471,43 @@ def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
 
 
 def clear_caches() -> None:
-    """Empty every memo of the engine: the staircase index and its
-    inverse, the shared term keys of slots (_keys), monomial codes and
-    the codes of the rewriting relations, monomial reduction, the rows
-    of phi_i on the staircase basis, Schubert classes, their leads and
-    their integer rows (_BASIS), the double beta-polynomial family,
-    its beta^0 chain and the single polynomials G_w(x) that the Cauchy
-    identity sums (betapoly._SINGLE), the series [q]t and inverse(t) of
-    the formal group law, the reduced Deligne-Lusztig monomial images, the product
-    layouts they are built from and the slots they store, the pair forms
-    of the family members they are summed over, a memo of (v, n), and
-    the folds of the members' beta^e terms into polynomials in q, a memo
-    of (v, n, e).
+    """Empty every memo of the engine: the staircase index, its inverse
+    and the degree of each index (_degrees), the shared term keys of
+    slots (_keys), monomial codes and the codes of the rewriting
+    relations, monomial reduction, the rows of phi_i on the staircase
+    basis, Schubert classes, their leads and their integer rows
+    (_BASIS), the double beta-polynomial family, its beta^0 chain and
+    the single polynomials G_w(x) that the Cauchy identity sums
+    (betapoly._SINGLE), the series [q]t and inverse(t) of the formal
+    group law, the reduced Deligne-Lusztig monomial images at beta = 1,
+    the product layouts they are built from and the slots they store,
+    the pair forms of the family members they are summed over, a memo of
+    (v, n), and the folds of the members' beta^e terms into polynomials
+    in q, a memo of (v, n, e).
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
     3,015 and 28,786 reduced monomials), and n! integer rows of 755
     triples at n = 5 and 19,771 at n = 6.  The images grow with every
-    (n, q) of a CK or K0 class: all 120 classes of S_5 at q = 2, 3, 5 in
-    each theory leave 18,705 images with 173,243 entries, pair forms of
-    89,531 terms and four series (three [q]t, one inverse(t)).  The
-    family (120 members, 153,396 terms), its beta^0 chain (120 members,
-    14,772 terms), the folds (239, with 1,038 slot rows at beta^0 and 22
-    at the top), reduced monomials (2,508, 4,752 slot pairs), decoded
-    indices and their inverse (120 each) and layouts (5) do not grow with
-    q, and the slots (481) and their term keys (552; 2,897 once the S_6
-    basis is built) stay below n! (n(n-1)/2 + 1).  Such a process peaks at about
-    46 MB resident.  Only the CLI fills _SINGLE: a `betapoly` request
-    for every member of S_5 leaves its 120 single polynomials with 807
-    terms (720 with 16,855 terms for S_6).
+    (n, q) of a CK or K0 class, which share them: all 120 classes of S_5
+    at q = 2, 3, 5 in each theory leave 18,705 images with 173,243
+    (slot, coeff) pairs, pair forms of 89,531 (code, coeff) pairs and
+    four series (three [q]t, one inverse(t)).  The family (120 members,
+    153,396 terms), its beta^0 chain (120 members, 14,772 terms), the
+    folds (239, with 1,038 slot rows at beta^0 and 22 at the top),
+    reduced monomials (2,508, 4,752 slot pairs), decoded indices, their
+    inverse and their degrees (120 each) and layouts (5) do not grow
+    with q; the slots (119) stay below n! and their term keys (552;
+    2,897 once the S_6 basis is built) below n! (n(n-1)/2 + 1).  Such a
+    process peaks at about 45 MB resident.  Only the CLI fills _SINGLE:
+    a `betapoly` request for every member of S_5 leaves its 120 single
+    polynomials with 807 terms (720 with 16,855 terms for S_6).
     """
     from . import dlclass, fgl  # imported here: both import this module
 
     _staircase.cache_clear()
     _indices.cache_clear()
+    _degrees.cache_clear()
     _keys.cache_clear()
     _coding.cache_clear()
     _h_offsets.cache_clear()
@@ -585,97 +597,79 @@ def schubert_expand(a: FlagRingElement, beta: int | None = None) -> SchubertExpa
 
     It reads a's tuple keys once, into a residual keyed by staircase
     index, and expands that by the integer rows of _BASIS[n] in the
-    order of _leads(n): the coordinate of w is its sign times the
-    residual at its lead, and subtracting that multiple of the class's
-    row zeroes it.  At beta = 0 only the beta^0 terms of a class are
-    subtracted, at beta = 1 every term at beta exponent 0.  The lead of
-    a class is beta-free and a beta^k term has x-degree k above it, so
-    the specialized basis is unitriangular in the same order.  A term
-    off the staircase, or a residual left at the end, raises
+    order of _leads(n) (_expand).  The exact coordinates come from the
+    beta = 1 expansion: with deg beta = -1, a's part of degree d (its
+    terms c beta^e x^m with |m| - e = d) is expanded at beta = 1 on its
+    own, and its coordinate c at w lifted to c beta^(length(w) - d).  A
+    term off the staircase, or a residual left at the end, raises
     SingularTransitionError.
     """
     if beta not in (None, 0, 1):
         raise ValueError(f"beta must be None, 0 or 1, got {beta!r}")
     n = a.n
     index = _indices(n)
-    residual: dict = {}
+    parts: dict[int, dict[int, int]] = {}  # {degree: residual}, one part at beta = 0 or 1
     for (m, be), c in a._terms.items():
         if be and beta == 0:
             continue
         i = index.get(m)
         if i is None:
             raise SingularTransitionError(f"term x^{m} is not a staircase monomial of n={n}")
-        if beta is None:
-            row = residual.setdefault(i, {})
-            row[be] = row.get(be, 0) + c
-        else:
+        residual = parts.setdefault(0 if beta is not None else sum(m) - be, {})
+        residual[i] = residual.get(i, 0) + c
+    if beta is not None:
+        return _expand(n, parts.get(0, {}), beta)
+    coefficients: dict[perm.Permutation, BetaScalar] = {}
+    for d, residual in parts.items():
+        for w, scalar in _expand(n, residual, 1, d).coefficients.items():
+            coefficients.setdefault(w, {}).update(scalar)
+    order = sorted(coefficients, key=lambda w: (perm.length(w), w))
+    return SchubertExpansion(n, {w: coefficients[w] for w in order})
+
+
+def schubert_expand_slots(n: int, slots: Mapping[int, int], beta: int, d: int | None = None) -> SchubertExpansion:
+    """schubert_expand of FlagRingElement.from_slots(n, slots) at beta = 0
+    or 1, read from the slots: the element is never built.  Given d, the
+    slots hold a class homogeneous of degree d, and the result is its
+    exact expansion, lifted from beta = 1 (_expand)."""
+    residual: dict[int, int] = {}
+    for s, c in slots.items():
+        if c and (beta or not s & _LOW):
+            i = s >> _BETA_BITS
             residual[i] = residual.get(i, 0) + c
-    return _expand(n, residual, beta)
+    return _expand(n, residual, beta, d)
 
 
-def schubert_expand_slots(n: int, slots: Mapping[int, int], beta: int | None = None) -> SchubertExpansion:
-    """schubert_expand of FlagRingElement.from_slots(n, slots), read from
-    the slots: the element is never built."""
-    residual: dict = {}
-    if beta is None:
-        for s, c in slots.items():
-            if c:
-                row = residual.get(s >> _BETA_BITS)
-                if row is None:
-                    residual[s >> _BETA_BITS] = {s & _LOW: c}
-                else:
-                    row[s & _LOW] = c
-    else:
-        for s, c in slots.items():
-            if c and (beta or not s & _LOW):
-                i = s >> _BETA_BITS
-                residual[i] = residual.get(i, 0) + c
-    return _expand(n, residual, beta)
+def _expand(n: int, residual: dict[int, int], beta: int, d: int | None = None) -> SchubertExpansion:
+    """The expansion at beta = 0 or 1 of the residual {staircase index:
+    coeff} by the rows of _BASIS[n]; the residual is used up.
 
-
-def _expand(n: int, residual: dict, beta: int | None) -> SchubertExpansion:
-    """The expansion at beta of the residual {staircase index: scalar},
-    the scalar a BetaScalar at beta = None and an int at beta = 0 or 1,
-    by the rows of _BASIS[n]; the residual is used up.  At beta = 0 a
-    row's beta^k terms, k > 0, are skipped, at beta = 1 every beta
-    exponent is dropped."""
+    The coordinate of w is its sign times the residual at its lead, and
+    subtracting that multiple of the class's row zeroes it.  At beta = 0
+    a row's beta^k terms, k > 0, are skipped, at beta = 1 every beta
+    exponent is dropped.  The lead of a class is beta-free and a beta^k
+    term has x-degree k above it, so the specialized basis is
+    unitriangular in the same order.  Given d, the residual is the
+    beta = 1 image of an element homogeneous of degree d, and each
+    coordinate c of w is lifted to c beta^(length(w) - d): length(w) is
+    the degree of w's lead."""
     if n not in _BASIS:
         _leads(n)
     leads, rows = _BASIS[n]
-    pop = residual.pop
+    degrees = _degrees(n)
+    get = residual.get
     found = []
-    if beta is None:
-        for k, r in enumerate(map(pop, leads, itertools.repeat(None))):
-            if r is None:
-                continue
-            rank, w, sign, row = rows[k]
-            scalar = {be: sign * c for be, c in r.items() if c}
-            if not scalar:
-                continue
-            found.append((rank, w, scalar))
-            it = iter(row)
-            for i, bs, cs in zip(it, it, it):
-                target = residual.get(i)
-                if target is None:
-                    target = residual[i] = {}
-                for be, v in scalar.items():
-                    be += bs
-                    target[be] = target.get(be, 0) - v * cs
-        left = any(c for r in residual.values() for c in r.values())
-    else:
-        get = residual.get
-        for k, c in enumerate(map(pop, leads, itertools.repeat(0))):
-            if not c:
-                continue
-            rank, w, sign, row = rows[k]
-            c *= sign
-            found.append((rank, w, {0: c}))
-            it = iter(row)
-            for i, bs, cs in zip(it, it, it):
-                if beta or not bs:
-                    residual[i] = get(i, 0) - c * cs
-        left = any(residual.values())
-    if left:
+    for k, c in enumerate(map(residual.pop, leads, itertools.repeat(0))):
+        if not c:
+            continue
+        rank, w, sign, row = rows[k]
+        c *= sign
+        found.append((rank, w, {0 if d is None else degrees[leads[k]] - d: c}))
+        it = iter(row)
+        for i, bs, cs in zip(it, it, it):
+            if beta or not bs:
+                residual[i] = get(i, 0) - c * cs
+    if any(residual.values()):
         raise SingularTransitionError("expansion left a nonzero residual")
     found.sort()
     return SchubertExpansion(n, {w: scalar for _, w, scalar in found})

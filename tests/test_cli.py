@@ -226,7 +226,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     ],
 )
 def test_computation_failure_exit_code(capsys, monkeypatch, exc):
-    def fake(n, slots, beta=None):
+    def fake(n, slots, beta, d=None):
         raise exc
 
     monkeypatch.setattr(cli.dlclass, "schubert_expand_slots", fake)

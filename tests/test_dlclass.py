@@ -203,6 +203,22 @@ def test_ch_classes_build_no_image():
     assert not betapoly._FAMILY
 
 
+def test_images_and_pair_forms_hold_no_beta_exponent():
+    # a CK class is its K0 sum lifted by degree, so the images and pair
+    # forms both theories read are taken at beta = 1: image slots carry
+    # no beta bits and a pair form holds (code, coeff) pairs
+    clear_caches()
+    for theory in ("CK", "K0"):
+        for w in perm.all_permutations(4):
+            dl_class(DLQuery(w, 4, 3, theory))
+    low = (1 << flagring._BETA_BITS) - 1
+    images = dlclass._IMAGES[(4, 3)]
+    assert len(images) > 1
+    assert not any(slot & low for image in images.values() for slot in image[::2])
+    forms = [dlclass._pair_form(tuple(w)[::-1], 4) for w in perm.all_permutations(4)]
+    assert any(forms) and all(len(form) % 2 == 0 for form in forms)
+
+
 def test_flag_count_oracle_frozen():
     expected = {
         (2, 2): 3,
