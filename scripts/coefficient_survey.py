@@ -4,13 +4,17 @@
 Computes the Chow-theory expansions of the classes of all X(w) closures
 for w in S_n over a range of field sizes and reports, per (n, q):
 
-  * whether any expansion coefficient is negative (empirically they all
-    look nonnegative, which this script probes rather than assumes),
+  * whether any expansion coefficient is negative: none can be, since
+    CH positivity is a theorem by the Chow closed form (see the
+    dlschubert.verify docstring), so this is a check of the engine,
   * the largest coefficient seen and where it occurs,
   * the average support size of an expansion.
 
 Example:
     python3 scripts/coefficient_survey.py --n-max 4 --qs 2 3 5
+
+A reader that closes the output early (`| head`) ends the script
+quietly with exit code 141, as it does `dlschubert`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import argparse
 import sys
 import time
 
-from dlschubert import perm, verify
+from dlschubert import cli, perm, verify
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -63,4 +67,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli.pipe_safe(main))

@@ -8,6 +8,9 @@ result objects are dumped instead, one JSON document per line.
 
 Example:
     python3 scripts/dl_tables.py --n 3 --q 2 --theory CH
+
+A reader that closes the output early (`| head`) ends the script
+quietly with exit code 141, as it does `dlschubert`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import argparse
 import json
 import sys
 
-from dlschubert import betapoly, dlclass, perm
+from dlschubert import betapoly, cli, dlclass, perm
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -86,4 +89,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli.pipe_safe(main))

@@ -215,15 +215,7 @@ def beta0_polynomial(w, n: int | None = None) -> BetaPolynomial:
     that member: the top product at beta = 0, then d_i along the ascents
     that double_beta_polynomial takes, memoized in _BETA0."""
     w, n = _resolve(w, n)
-    cached = _BETA0.get((n, w))
-    if cached is not None:
-        return cached
-    if w == perm.longest_element(n):
-        value = top_beta_polynomial(n, beta=False)
-    else:
-        i = perm.right_ascents(w)[0]
-        value = divided_difference(i, beta0_polynomial(perm.times_s(w, i), n), beta=False)
-    return _BETA0.setdefault((n, w), value)
+    return _chain(_BETA0, w, n, lambda: top_beta_polynomial(n, beta=False), beta=False)
 
 
 def single_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
@@ -232,15 +224,23 @@ def single_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
     then phi_i along the ascents that double_beta_polynomial takes,
     memoized in _SINGLE."""
     w, n = _resolve(w, n)
-    cached = _SINGLE.get((n, w))
+    return _chain(_SINGLE, w, n, lambda: BetaPolynomial({(tuple(range(n - 1, 0, -1)), (), 0): 1}))
+
+
+def _chain(memo, w: Permutation, n: int, top, beta: bool = True) -> BetaPolynomial:
+    """The polynomial of w in S_n down a chain like the family's: top() at
+    the longest element, then divided_difference(i, ., beta) along the
+    first right ascent i of each member, every member memoized in
+    memo[(n, w)]."""
+    cached = memo.get((n, w))
     if cached is not None:
         return cached
     if w == perm.longest_element(n):
-        value = BetaPolynomial({(tuple(range(n - 1, 0, -1)), (), 0): 1})
+        value = top()
     else:
         i = perm.right_ascents(w)[0]
-        value = divided_difference(i, single_beta_polynomial(perm.times_s(w, i), n))
-    return _SINGLE.setdefault((n, w), value)
+        value = divided_difference(i, _chain(memo, perm.times_s(w, i), n, top, beta), beta)
+    return memo.setdefault((n, w), value)
 
 
 def cauchy_pairs(w: Permutation) -> dict[Permutation, tuple[Permutation, ...]]:

@@ -7,8 +7,11 @@ verify (consistency suites), cache (on-disk cache management).
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 structurally valid but inadmissible parameters, 4 the computation
 failed (an arithmetic error such as a Schubert basis without unit
-leads, or the interpreter ran out of recursion depth or memory).
-Each engine warning is one ``warning: <message>`` line on stderr.
+leads, or the interpreter ran out of recursion depth or memory),
+141 (BROKEN_PIPE) the reader closed stdout before the output ended, as
+in ``dlschubert betapoly ... | head -c 100``; that ends quietly, with
+nothing on stderr.  Each engine warning is one ``warning: <message>``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ import json
 import os
 import sys
 import warnings
+from typing import Callable
 
 from . import betapoly, dlclass, perm, poly
 from .cache import ENV_CACHE_DIR, PolynomialCache
 
 FAMILY = "double-beta"
+# 128 + SIGPIPE, the status a shell reports for a writer that a closed
+# pipe ended
+BROKEN_PIPE = 141
 
 
 class CLIError(Exception):
@@ -241,8 +248,22 @@ def main(argv=None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def pipe_safe(main: Callable[[], int]) -> int:
+    """main()'s exit code, with stdout flushed; BROKEN_PIPE, and no
+    traceback, if the reader closed stdout first.  The CLI and the
+    scripts end through this."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+
+
 def entry() -> None:
-    sys.exit(main())
+    sys.exit(pipe_safe(main))
 
 
 if __name__ == "__main__":

@@ -18,10 +18,10 @@ fgl.inverse_series) at t = x_i.
 The substitution is a ring map, hence linear on the family, and all
 members of S_n together use at most n!^2 distinct monomials.  So the
 image of a monomial at beta = 1 is built once per (n, q, monomial) and
-memoized as a flat tuple of (staircase slot, coeff) pairs.  One
+memoized as a flat tuple of (staircase index, coeff) pairs.  One
 recursive builder makes it: the image of the same monomial with one
 generator factor fewer in its last pair, times that factor's series,
-by one product kernel that shifts slots while a product stays in the
+by one product kernel that shifts indices while a product stays in the
 staircase and reads the others from flagring's memo of reduced
 monomials, which the Schubert basis and the ring product read too.
 
@@ -54,9 +54,11 @@ terms, folded at beta^0.  CK = K0 lifted by degree: with deg beta = -1
 the class of w is homogeneous of degree d = length(w.w0), so its term
 c beta^e x^m has e = |m| - d and its coordinate at u exponent
 length(u) - d.  Every class is summed once, at beta = 0 or 1, as
-{slot: coeff}: the element is built from that sum and the same sum is
-expanded (flagring.schubert_expand_slots), each lifted in CK, so no
-request reads its element back from tuple keys.
+{staircase index: coeff}, with no beta exponent: the element is built
+from that sum (FlagRingElement.from_slots) and the same sum is expanded
+(flagring.schubert_expand_slots).  In CK both are given d and lift it,
+the only place where a formal beta enters, so no request reads its
+element back from tuple keys.
 q is a concrete integer; Frobenius twists make geometric sense for
 prime powers only, so other q >= 2 raise a warning (an error under
 strict validation).
@@ -72,7 +74,6 @@ from operator import mul
 
 from . import betapoly, fgl, flagring, perm, poly
 from .flagring import (
-    _BETA_BITS,
     FlagRingElement,
     SchubertExpansion,
     normal_form,
@@ -239,18 +240,17 @@ class DLResult:
 
 
 # Images of the substitution at beta = 1, one per (n, q, monomial),
-# reduced once: _IMAGES[(n, q)][pair code] is a flat tuple (slot, coeff,
-# slot, coeff, ..) where slot = staircase index << _BETA_BITS (beta
-# exponent 0), for a code below x-degree n(n-1)/2, with the bases _build
-# made it from; the top-degree terms never reach it (they fold into the
-# point part), and CH classes build none.
+# reduced once: _IMAGES[(n, q)][pair code] is a flat tuple (staircase
+# index, coeff, ..), for a code below x-degree n(n-1)/2, with the bases
+# _build made it from; the top-degree terms never reach it (they fold
+# into the point part), and CH classes build none.
 _IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
 
 @functools.lru_cache(maxsize=None)
 def _slots(n: int) -> dict[int, int]:
-    """The slots of S_n met so far, each mapped to itself: every image
-    stores these int objects instead of holding its own."""
+    """The staircase indices of S_n met so far, each mapped to itself:
+    every image stores these int objects instead of holding its own."""
     return {}
 
 
@@ -293,7 +293,7 @@ def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], 
     """The beta^e terms of the beta-sign-flipped double beta-polynomial
     of v, each pair (a, b) mapped by the lowest entry q^a (-1)^b t^(a+b)
     of ([q]t)^a inverse(t)^b, in normal form with coefficients in Z[q]:
-    ((slot at beta exponent 0, coefficients by power of q), ..).
+    ((staircase index, coefficients by power of q), ..).
 
     A term c x^a y^b (x,y-degree length(v) + e) adds (-1)^(e+|b|) c to
     the q^|a| coefficient of x^s, s_i = a_i + b_{n+1-i} <= n - 1 (the
@@ -329,11 +329,11 @@ def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], 
         row[x[1]] += y[1] * c
     out: dict[int, list[int]] = {}
     for code, row in sums.items():
-        for slot, r in flagring._reduce_code(n, code):
-            acc = out.setdefault(slot, [0] * (degree + 1))
+        for i, r in flagring._reduce_code(n, code):
+            acc = out.setdefault(i, [0] * (degree + 1))
             for k, c in enumerate(row):
                 acc[k] += r * c
-    return tuple((slot, tuple(row)) for slot, row in out.items() if any(row))
+    return tuple((i, tuple(row)) for i, row in out.items() if any(row))
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,10 +341,10 @@ def _layouts(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
     """(step, unit, rows) for multiplying by powers of x_{j+1} in S_n, at
     index j = 0..n-1, built in one pass over the staircase.
 
-    step is the slot shift and unit the monomial code of one more power
+    step is the index shift and unit the monomial code of one more power
     of x_{j+1}.  rows[index] = (room, most, code) for the staircase
     monomial x^k of that index: the product x^k * x_{j+1}^d is the
-    staircase monomial d * step slots on while d <= room = j - k_j, and
+    staircase monomial d * step indices on while d <= room = j - k_j, and
     0 once d > most, because its x-degree passes n(n-1)/2 (or, for
     j = n - 1, x_n^n = 0); in between it is the reduced monomial of
     code + d * unit.
@@ -352,7 +352,7 @@ def _layouts(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
     top, width = n * (n - 1) // 2, flagring._coding(n)[0]
     monomials = [(k, top - sum(k), flagring._encode(k, width)) for k in staircase_monomials(n)]
     return tuple(
-        (factorial(n) // factorial(j + 1) << _BETA_BITS, 1 << j * width, tuple(
+        (factorial(n) // factorial(j + 1), 1 << j * width, tuple(
             (j - k[j], min(most, j - k[j]) if j == n - 1 else most, code)
             for k, most, code in monomials
         ))
@@ -363,19 +363,19 @@ def _layouts(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
 def _times(n: int, flat: tuple[int, ...], j: int, series: fgl.Series) -> tuple[int, ...]:
     """Normal form at beta = 1 of the flat element `flat` times the series
     `series` ((d, beta exponent, coeff), .. by ascending d; the exponent
-    is not read) at t = x_{j+1}, as a flat (slot, coeff, ..) tuple."""
+    is not read) at t = x_{j+1}, as a flat (index, coeff, ..) tuple."""
     step, unit, rows = _layouts(n)[j]
     reduced = flagring._REDUCE_MEMO.setdefault(n, {})
     out: dict[int, int] = {}
     get = out.get
     pairs = iter(flat)
-    for slot, c in zip(pairs, pairs):
-        room, most, code = rows[slot >> _BETA_BITS]
+    for i, c in zip(pairs, pairs):
+        room, most, code = rows[i]
         for d, _, tc in series:
             if d > most:
                 break
             if d <= room:
-                s = slot + d * step
+                s = i + d * step
                 out[s] = get(s, 0) + c * tc
                 continue
             row = reduced.get(code + d * unit)
@@ -428,23 +428,15 @@ def _fold_exponent(v: Permutation, n: int, beta: int | None) -> int:
 
 def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> FlagRingElement:
     """The class of w as an element, in CK or at beta = 0 or 1."""
-    return FlagRingElement.from_slots(n, _theory_slots(w, n, q, beta)[0])
+    d = None if beta is not None else n * (n - 1) // 2 - perm.length(w)
+    return FlagRingElement.from_slots(n, _class_slots(w, n, q, beta), d)
 
 
-def _theory_slots(w: Permutation, n: int, q: int, beta: int | None) -> tuple[dict[int, int], int | None]:
-    """The class of w as {slot: coeff} in CK or at beta = 0 or 1, and in
-    CK its degree d = length(w.w0), else None: in CK it is the K0 class
-    with each term c x^m lifted to c beta^(|m| - d) x^m."""
-    if beta is not None:
-        return _class_slots(w, n, q, beta), None
-    d = n * (n - 1) // 2 - perm.length(w)
-    degrees = flagring._degrees(n)
-    return {s + degrees[s >> _BETA_BITS] - d: c for s, c in _class_slots(w, n, q, 1).items()}, d
-
-
-def _class_slots(w: Permutation, n: int, q: int, beta: int) -> dict[int, int]:
-    """The class of w as {slot: coeff} at beta = 0 or 1; some
-    coefficients may be 0.
+def _class_slots(w: Permutation, n: int, q: int, beta: int | None) -> dict[int, int]:
+    """The class of w as {staircase index: coeff} at beta = 0 or 1; some
+    coefficients may be 0.  In CK (beta None) it is the sum at beta = 1,
+    which from_slots and schubert_expand_slots lift by the class's
+    degree length(w.w0).
 
     At beta = 1 (K0) it is the sum c * image(pairs) over the pair form
     of the member of w.w0, plus the point part, the fold at the top beta
@@ -465,12 +457,12 @@ def _class_slots(w: Permutation, n: int, q: int, beta: int) -> dict[int, int]:
             if image is None:
                 image = _build(n, q, code)
             pairs = iter(image)
-            for slot, ic in zip(pairs, pairs):
-                acc[slot] = get(slot, 0) + c * ic
+            for i, ic in zip(pairs, pairs):
+                acc[i] = get(i, 0) + c * ic
     # the fold's degree in q: the top degree unless in CH
     powers = [q**k for k in range(perm.length(v) + e + 1)]
-    for slot, row in _fold(v, n, e):
-        acc[slot] = get(slot, 0) + sum(map(mul, row, powers))
+    for i, row in _fold(v, n, e):
+        acc[i] = get(i, 0) + sum(map(mul, row, powers))
     return acc
 
 
@@ -490,10 +482,11 @@ def dl_class(query: DLQuery, strict: bool = False) -> DLResult:
 
 def _dl_class(query: DLQuery) -> DLResult:
     """dl_class of a query that has been validated."""
-    beta = BETA[query.theory]
-    slots, d = _theory_slots(query.w, query.n, query.q, beta)
-    element = FlagRingElement.from_slots(query.n, slots)
-    expansion = schubert_expand_slots(query.n, slots, 1 if beta is None else beta, d)
+    beta, n = BETA[query.theory], query.n
+    d = None if beta is not None else n * (n - 1) // 2 - perm.length(query.w)
+    slots = _class_slots(query.w, n, query.q, beta)
+    element = FlagRingElement.from_slots(n, slots, d)
+    expansion = schubert_expand_slots(n, slots, 1 if beta is None else beta, d)
     meta = {
         "w": perm.format_permutation(query.w),
         "n": query.n,

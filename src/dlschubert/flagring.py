@@ -30,19 +30,28 @@ normal form of phi_i of a staircase monomial, built once per (n, i,
 monomial).  The result is the normal form of the beta-sign-flipped
 double beta polynomial of w with all y set to 0.
 
+Rows are keyed by plain staircase index, with no beta exponent: with
+deg beta = -1, an element homogeneous of degree d has terms
+c beta^(|m| - d) x^m, so it is its beta = 1 image, an integer row
+{index: c}, lifted by degree.  Reduced monomials, the rows of phi_i
+(taken at beta = 1) and the Schubert classes (_class_row, lifted by
+length(w)) are such rows, and so are dlclass's images, folds and class
+sums.  The lift to formal beta lives in two places only:
+from_slots(n, slots, d) builds the element, and
+schubert_expand_slots(n, slots, 1, d) its expansion, each coordinate c
+at w lifted to c beta^(length(w) - d).  Only the general product and
+normal_form, whose inputs need not be homogeneous, key their sums by
+(index, beta exponent).
+
 The lead of a class, the lex-largest monomial of its x-degree
 length(w) part, has coefficient +-1 and differs for each w (_leads
 checks both).  Ordered by degree and then by descending lead, the
 classes are unitriangular against their leads, so expansion is one
-pass of integer subtractions.  The pass of _leads over the basis also
-keeps each class as an integer row, its terms but the lead as flat
-(staircase index, beta exponent, coeff) triples, and expansion runs on
-a residual keyed by staircase index, at beta = 0 or 1: with
-deg beta = -1, an element homogeneous of degree d has coordinates
-c beta^(length(w) - d), its beta = 1 ones lifted by degree.  A dl_class
-request expands the slot sum it computed (schubert_expand_slots) and
-builds no tuple key for it; schubert_expand turns an element's tuple
-keys into indices, one residual per degree.
+pass of integer subtractions of class rows from a residual keyed by
+staircase index, at beta = 0 or 1.  A class row lists its beta^0 part,
+its terms of degree length(w), first, so at beta = 0 the pass reads a
+prefix of each row.  schubert_expand turns an element's tuple keys
+into indices, one residual per degree, and lifts each.
 """
 
 from __future__ import annotations
@@ -68,14 +77,6 @@ def staircase_monomials(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return tuple(itertools.product(*[range(k + 1) for k in range(n)]))
-
-
-# A slot packs a term key of a staircase basis element into one int:
-# staircase index << _BETA_BITS | beta exponent.  A beta exponent of a
-# class is at most its x-degree, so <= n(n-1)/2; products and normal
-# forms refuse a beta exponent that would spill into the index.
-_BETA_BITS = 16
-_LOW = (1 << _BETA_BITS) - 1  # slot & _LOW: its beta exponent
 
 
 def _index(m: Iterable[int]) -> int:
@@ -110,10 +111,10 @@ def _degrees(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _keys(n: int) -> dict[int, TermKey]:
-    """The term keys of the slots of S_n met so far, {slot: (staircase
-    exponents, beta exponent)}: elements built by from_slots share these
-    tuples instead of each building its own."""
+def _keys(n: int) -> dict[int | None, dict[int, TermKey]]:
+    """The term keys that from_slots(n, .., d) has built so far, {d:
+    {staircase index: (staircase exponents, beta exponent)}}: elements
+    share these tuples instead of each building its own."""
     return {}
 
 
@@ -152,15 +153,14 @@ def _h_offsets(n: int, v: int) -> tuple[int, ...]:
     return tuple(c for c in codes if c != v << (v - 1) * width)
 
 
-# n -> {code: normal form as ((slot, coeff), ..) at beta exponent 0}, read
-# by the rows of phi_i, the ring product, dlclass's image kernel and its
-# folds
+# n -> {code: normal form as ((staircase index, coeff), ..)}, read by the
+# rows of phi_i, the ring product, dlclass's image kernel and its folds
 _REDUCE_MEMO: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
 
 
 def _reduce_exps(n: int, exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Normal form of the monomial x^exps as ((slot, coeff), ..) at beta
-    exponent 0; exps may leave out trailing zeros.
+    """Normal form of the monomial x^exps as ((staircase index, coeff),
+    ..); exps may leave out trailing zeros.
 
     Monomials of degree above n(n-1)/2 are zero at once (no staircase
     monomial has that degree).
@@ -187,7 +187,7 @@ def _reduce_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
             continue
         flags = (m + probe) & mask
         if not flags:
-            memo[m] = ((_index(m >> k * width & field for k in range(n)) << _BETA_BITS, 1),)
+            memo[m] = ((_index(m >> k * width & field for k in range(n)), 1),)
             continue
         # x_v^v = -(h_v(x_v, .., x_n) - x_v^v) at the first e_k > k, v = k + 1
         v = ((flags & -flags).bit_length() - 1) // width + 1
@@ -200,9 +200,9 @@ def _reduce_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
             continue
         out: dict[int, int] = {}
         for child in children:
-            for slot, sc in memo[child]:
-                out[slot] = out.get(slot, 0) - sc
-        memo[m] = tuple((slot, c) for slot, c in out.items() if c)
+            for i, sc in memo[child]:
+                out[i] = out.get(i, 0) - sc
+        memo[m] = tuple((i, c) for i, c in out.items() if c)
     return memo[code]
 
 
@@ -247,20 +247,29 @@ class FlagRingElement(poly.SparseTerms):
         return cls.from_slots(n, dict(_reduce_exps(n, (0,) * (i - 1) + (1,))))
 
     @classmethod
-    def from_slots(cls, n: int, slots: Mapping[int, int]) -> "FlagRingElement":
-        """The element with coefficient c at each slot of {slot: c}; its
-        term keys are the shared tuples of _keys(n)."""
-        keys = _keys(n)
+    def from_slots(cls, n: int, slots: Mapping[int, int], d: int | None = None) -> "FlagRingElement":
+        """The element with coefficient c at the staircase monomial x^m of
+        each index of {staircase index: c}, beta-free, or, given d, lifted
+        from beta = 1 as an element homogeneous of degree d: c beta^(|m| - d)
+        x^m.  Its term keys are the shared tuples of _keys(n)."""
+        keys = _keys(n).setdefault(d, {})
         terms = {}
-        for s, c in slots.items():
+        for i, c in slots.items():
             if c:
-                key = keys.get(s)
+                key = keys.get(i)
                 if key is None:
-                    key = keys[s] = (_staircase(n, s >> _BETA_BITS), s & _LOW)
+                    m = _staircase(n, i)
+                    key = keys[i] = (m, 0 if d is None else sum(m) - d)
                 terms[key] = c
         element = cls(n)
         element._terms = terms
         return element
+
+    @classmethod
+    def _from_sums(cls, n: int, sums: Mapping[tuple[int, int], int]) -> "FlagRingElement":
+        """The element with coefficient c at each (staircase index, beta
+        exponent) of {(index, exponent): c}."""
+        return cls(n, {(_staircase(n, i), be): c for (i, be), c in sums.items()})
 
     @classmethod
     def beta(cls, n: int) -> "FlagRingElement":
@@ -284,13 +293,11 @@ class FlagRingElement(poly.SparseTerms):
             return [(_encode(m, width), sum(m), be, c) for (m, be), c in x._terms.items()]
 
         a, b = coded(self), coded(other)
-        if max((x[2] for x in a), default=0) + max((x[2] for x in b), default=0) >> _BETA_BITS:
-            raise ValueError("a beta exponent of the product does not fit in a slot")
-        return FlagRingElement.from_slots(n, poly._collect(
-            (slot + ba + bb, ca * cb * sc)
+        return FlagRingElement._from_sums(n, poly._collect(
+            ((i, ba + bb), ca * cb * sc)
             for ka, da, ba, ca in a
             for kb, db, bb, cb in b if da + db <= n * (n - 1) // 2
-            for slot, sc in _reduce_code(n, ka + kb)
+            for i, sc in _reduce_code(n, ka + kb)
         ))
 
     __rmul__ = __mul__
@@ -365,7 +372,7 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
     """Image of a y-free polynomial in the quotient ring.
 
     Raises ValueError if p mentions any y variable or any x_i with
-    i > n, or has a beta exponent that does not fit in a slot.
+    i > n.
     """
     if p.max_y_index():
         raise ValueError("polynomial mentions y variables; substitute them first")
@@ -373,12 +380,10 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
         raise ValueError(
             f"polynomial mentions x{p.max_x_index()} but the ring has n={n}"
         )
-    if max((be for _, _, be in p.terms()), default=0) >> _BETA_BITS:
-        raise ValueError("a beta exponent of the polynomial does not fit in a slot")
-    return FlagRingElement.from_slots(n, poly._collect(
-        (slot + be, c * sc)
+    return FlagRingElement._from_sums(n, poly._collect(
+        ((i, be), c * sc)
         for (xe, _, be), c in p.terms().items()
-        for slot, sc in _reduce_exps(n, xe)
+        for i, sc in _reduce_exps(n, xe)
     ))
 
 
@@ -386,15 +391,43 @@ def normal_form(p: BetaPolynomial, n: int) -> FlagRingElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_row(n: int, i: int, m: tuple[int, ...]) -> tuple[int, ...]:
-    """Normal form of the beta-sign-flipped phi_i(x^m), for a staircase
-    monomial x^m, as a flat (slot, coeff, ..) tuple."""
+def _phi_row(n: int, i: int, j: int) -> tuple[int, ...]:
+    """Normal form at beta = 1 of the beta-sign-flipped phi_i(x^m), for
+    the staircase monomial x^m of index j, as a flat (index, coeff, ..)
+    tuple: d_i x^m - d_i(x_{i+1} x^m), whose parts have degrees |m| - 1
+    and |m|, so a term's beta exponent is read back from its degree."""
     terms = poly._collect(
-        (slot + k, (-s if k else s) * sc)
-        for x, k, s in betapoly._phi_images(m, i)
-        for slot, sc in _reduce_exps(n, x)
+        (k, (-s if b else s) * sc)
+        for x, b, s in betapoly._phi_images(_staircase(n, j), i)
+        for k, sc in _reduce_exps(n, x)
     )
     return tuple(v for item in terms.items() for v in item)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_row(w: perm.Permutation, n: int) -> tuple[int, ...]:
+    """The class of w at beta = 1 as a flat (staircase index, coeff, ..)
+    tuple, its terms of degree length(w), its beta^0 part, first.
+
+    It starts from the point class at the longest element and walks down
+    the right ascent i that betapoly.double_beta_polynomial takes,
+    mapping each term c x^m of the class above by c times the row
+    _phi_row(n, i, index of m).
+    """
+    if w == perm.longest_element(n):
+        # x1^(n-1) .. x_(n-1), by the top degree sign rule (module docstring)
+        return (_index(range(n)), (-1) ** (n * (n - 1) // 2))
+    i = perm.right_ascents(w)[0]
+    out: dict[int, int] = {}
+    get = out.get
+    row = iter(_class_row(perm.times_s(w, i), n))
+    for j, c in zip(row, row):
+        phi = iter(_phi_row(n, i, j))
+        for k, pc in zip(phi, phi):
+            out[k] = get(k, 0) + c * pc
+    degrees, length = _degrees(n), perm.length(w)
+    terms = sorted((kc for kc in out.items() if kc[1]), key=lambda kc: degrees[kc[0]] > length)
+    return tuple(v for kc in terms for v in kc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,106 +435,90 @@ def schubert_class(w: perm.Permutation, n: int | None = None) -> FlagRingElement
     """Class of the codimension-length(w) Schubert variety Omega_w.
 
     Equal to the normal form of the beta-sign-flipped double beta
-    polynomial of w with y -> 0, but never builds that polynomial: it
-    starts from the point class at the longest element and walks down
-    the right ascent i that betapoly.double_beta_polynomial takes,
-    mapping each term c beta^e x^m of the class above by c beta^e times
-    the row _phi_row(n, i, m).
+    polynomial of w with y -> 0, but never builds that polynomial: it is
+    the integer row _class_row(w, n) lifted by degree, each c x^m to
+    c beta^(|m| - length(w)) x^m.
     """
     w, n = betapoly._resolve(w, n)
-    if w == perm.longest_element(n):
-        # x1^(n-1) .. x_(n-1), by the top degree sign rule (module docstring)
-        return FlagRingElement(n, {(tuple(range(n)), 0): (-1) ** (n * (n - 1) // 2)})
-    i = perm.right_ascents(w)[0]
-    out: dict[int, int] = {}
-    get = out.get
-    for (m, e), c in schubert_class(perm.times_s(w, i), n)._terms.items():
-        row = iter(_phi_row(n, i, m))
-        for slot, rc in zip(row, row):
-            slot += e
-            out[slot] = get(slot, 0) + c * rc
-    return FlagRingElement.from_slots(n, out)
+    row = iter(_class_row(w, n))
+    return FlagRingElement.from_slots(n, dict(zip(row, row)), perm.length(w))
 
 
 # n -> (leads, rows), the Schubert basis as integer rows, filled by
 # _leads: leads[k] is the staircase index of the k-th lead in expansion
-# order and rows[k] = (rank, w, sign, row) its class, where rank is w's
-# place by (length(w), w) and row the class without its lead term, a
-# flat (index, beta exponent, coeff, ..) tuple
-_BASIS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, perm.Permutation, int, tuple[int, ...]], ...]]] = {}
+# order and rows[k] = (rank, w, sign, row, cut) its class, where rank is
+# w's place by (length(w), w), row is _class_row(w, n) and row[:cut] its
+# beta^0 part
+_BASIS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, perm.Permutation, int, tuple[int, ...], int], ...]]] = {}
 
 
 @functools.lru_cache(maxsize=None)
 def _leads(n: int) -> tuple[tuple[tuple[int, ...], perm.Permutation, int], ...]:
     """The Schubert basis as (lead monomial, w, sign) triples, sorted by
-    degree and then by descending lead, read from the tuple keys of the
-    classes; the same pass stores their integer rows in _BASIS[n].
+    degree and then by descending lead, read from the integer rows of the
+    classes (_class_row), which the same pass stores in _BASIS[n].
 
-    The lead of w is the lex-largest monomial of the beta-free part of
-    its class (by gradedness, its part of x-degree length(w)), and sign
-    is its coefficient.  A class meets no monomial of lower degree and no
-    larger monomial of its own degree, so it is zero at every lead before
-    its own: with unit signs and n! distinct leads the basis change is
-    unitriangular in this order.  Otherwise SingularTransitionError is
-    raised.
+    The lead of w is the lex-largest monomial, the largest index, of the
+    beta-free part of its class (by gradedness, its part of x-degree
+    length(w)), and sign is its coefficient.  A class meets no monomial
+    of lower degree and no larger monomial of its own degree, so it is
+    zero at every lead before its own: with unit signs and n! distinct
+    leads the basis change is unitriangular in this order.  Otherwise
+    SingularTransitionError is raised.
     """
-    index = _indices(n)
-    found: dict[tuple[int, ...], tuple[perm.Permutation, int, tuple[int, ...]]] = {}
+    degrees = _degrees(n)
+    found: dict[int, tuple[perm.Permutation, int, tuple[int, ...], int]] = {}
     for w in perm.all_permutations(n):
-        terms = schubert_class(w, n)._terms
-        lead = max((m for m, be in terms if not be), default=None)
-        sign = terms.get((lead, 0), 0)
+        row, length = _class_row(w, n), perm.length(w)
+        low = [(j, c) for j, c in zip(row[::2], row[1::2]) if degrees[j] == length]
+        lead, sign = max(low, default=(None, 0))
         if sign not in (1, -1):
             raise SingularTransitionError(f"class of {w} has leading coefficient {sign}")
         if lead in found:
             raise SingularTransitionError(f"classes of {found[lead][0]} and {w} share a lead")
-        row: list[int] = []
-        for (m, be), c in terms.items():
-            if be or m != lead:
-                row += (index[m], be, c)
-        found[lead] = (w, sign, tuple(row))
-    order = sorted(found, key=lambda m: (sum(m), tuple(-e for e in m)))
+        found[lead] = (w, sign, row, 2 * len(low))
+    order = sorted(found, key=lambda j: (degrees[j], -j))
     # the lead's degree is length(w)
-    rank = {m: k for k, m in enumerate(sorted(found, key=lambda m: (sum(m), found[m][0])))}
-    _BASIS[n] = (
-        tuple(index[m] for m in order),
-        tuple((rank[m], *found[m]) for m in order),
-    )
-    return tuple((m, *found[m][:2]) for m in order)
+    rank = {j: k for k, j in enumerate(sorted(found, key=lambda j: (degrees[j], found[j][0])))}
+    _BASIS[n] = (tuple(order), tuple((rank[j], *found[j]) for j in order))
+    return tuple((_staircase(n, j), *found[j][:2]) for j in order)
 
 
 def clear_caches() -> None:
     """Empty every memo of the engine: the staircase index, its inverse
     and the degree of each index (_degrees), the shared term keys of
-    slots (_keys), monomial codes and the codes of the rewriting
+    from_slots (_keys), monomial codes and the codes of the rewriting
     relations, monomial reduction, the rows of phi_i on the staircase
-    basis, Schubert classes, their leads and their integer rows
-    (_BASIS), the double beta-polynomial family, its beta^0 chain and
-    the single polynomials G_w(x) that the Cauchy identity sums
-    (betapoly._SINGLE), the series [q]t and inverse(t) of the formal
-    group law, the reduced Deligne-Lusztig monomial images at beta = 1,
-    the product layouts they are built from and the slots they store,
-    the pair forms of the family members they are summed over, a memo of
-    (v, n), and the folds of the members' beta^e terms into polynomials
-    in q, a memo of (v, n, e).
+    basis, the classes as integer rows (_class_row), Schubert classes as
+    elements, their leads and the basis rows (_BASIS), the double
+    beta-polynomial family, its beta^0 chain and the single polynomials
+    G_w(x) that the Cauchy identity sums (betapoly._SINGLE), the series
+    [q]t and inverse(t) of the formal group law, the reduced
+    Deligne-Lusztig monomial images at beta = 1, the product layouts
+    they are built from and the indices they store, the pair forms of
+    the family members they are summed over, a memo of (v, n), and the
+    folds of the members' beta^e terms into polynomials in q, a memo of
+    (v, n, e).
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
-    3,015 and 28,786 reduced monomials), and n! integer rows of 755
-    triples at n = 5 and 19,771 at n = 6.  The images grow with every
-    (n, q) of a CK or K0 class, which share them: all 120 classes of S_5
-    at q = 2, 3, 5 in each theory leave 18,705 images with 173,243
-    (slot, coeff) pairs, pair forms of 89,531 (code, coeff) pairs and
-    four series (three [q]t, one inverse(t)).  The family (120 members,
-    153,396 terms), its beta^0 chain (120 members, 14,772 terms), the
-    folds (239, with 1,038 slot rows at beta^0 and 22 at the top),
-    reduced monomials (2,508, 4,752 slot pairs), decoded indices, their
-    inverse and their degrees (120 each) and layouts (5) do not grow
-    with q; the slots (119) stay below n! and their term keys (552;
-    2,897 once the S_6 basis is built) below n! (n(n-1)/2 + 1).  Such a
-    process peaks at about 45 MB resident.  Only the CLI fills _SINGLE:
-    a `betapoly` request for every member of S_5 leaves its 120 single
-    polynomials with 807 terms (720 with 16,855 terms for S_6).
+    3,015 and 28,786 reduced monomials), and n! class rows of 875
+    (index, coeff) pairs at n = 5 (388 of them in the beta^0 prefixes),
+    20,491 at n = 6 (5,685) and 725,198 at n = 7 (123,013); _BASIS
+    shares the class rows.  The images grow with every (n, q) of a CK or
+    K0 class, which share them: all 120 classes of S_5 at q = 2, 3, 5 in
+    each theory leave 18,705 images with 173,243 (index, coeff) pairs,
+    pair forms of 89,531 (code, coeff) pairs and four series (three
+    [q]t, one inverse(t)).  The family (120 members, 153,396 terms), its
+    beta^0 chain (120 members, 14,772 terms), the folds (239, with 1,038
+    index rows at beta^0 and 21 at the top), reduced monomials (2,508,
+    4,752 index pairs), decoded indices, their inverse and their degrees
+    (120 each) and layouts (5) do not grow with q; the stored indices
+    (119) stay below n! and their term keys (672, over 12 values of d)
+    below n! (n(n-1)/2 + 2).  Such a process peaks at about 47 MB
+    resident.  Only the CLI fills _SINGLE: a `betapoly` request for
+    every member of S_5 leaves its 120 single polynomials with 807 terms
+    (720 with 16,855 terms for S_6).
     """
     from . import dlclass, fgl  # imported here: both import this module
 
@@ -513,6 +530,7 @@ def clear_caches() -> None:
     _h_offsets.cache_clear()
     _REDUCE_MEMO.clear()
     _phi_row.cache_clear()
+    _class_row.cache_clear()
     fgl.n_times_series.cache_clear()
     fgl.inverse_series.cache_clear()
     schubert_class.cache_clear()
@@ -630,14 +648,10 @@ def schubert_expand(a: FlagRingElement, beta: int | None = None) -> SchubertExpa
 def schubert_expand_slots(n: int, slots: Mapping[int, int], beta: int, d: int | None = None) -> SchubertExpansion:
     """schubert_expand of FlagRingElement.from_slots(n, slots) at beta = 0
     or 1, read from the slots: the element is never built.  Given d, the
-    slots hold a class homogeneous of degree d, and the result is its
-    exact expansion, lifted from beta = 1 (_expand)."""
-    residual: dict[int, int] = {}
-    for s, c in slots.items():
-        if c and (beta or not s & _LOW):
-            i = s >> _BETA_BITS
-            residual[i] = residual.get(i, 0) + c
-    return _expand(n, residual, beta, d)
+    slots hold the beta = 1 image of a class homogeneous of degree d, and
+    the result is the exact expansion of from_slots(n, slots, d), lifted
+    from beta = 1 (_expand)."""
+    return _expand(n, dict(slots), beta, d)
 
 
 def _expand(n: int, residual: dict[int, int], beta: int, d: int | None = None) -> SchubertExpansion:
@@ -645,30 +659,28 @@ def _expand(n: int, residual: dict[int, int], beta: int, d: int | None = None) -
     coeff} by the rows of _BASIS[n]; the residual is used up.
 
     The coordinate of w is its sign times the residual at its lead, and
-    subtracting that multiple of the class's row zeroes it.  At beta = 0
-    a row's beta^k terms, k > 0, are skipped, at beta = 1 every beta
-    exponent is dropped.  The lead of a class is beta-free and a beta^k
-    term has x-degree k above it, so the specialized basis is
-    unitriangular in the same order.  Given d, the residual is the
-    beta = 1 image of an element homogeneous of degree d, and each
-    coordinate c of w is lifted to c beta^(length(w) - d): length(w) is
-    the degree of w's lead."""
+    subtracting that multiple of the class's row zeroes it: the whole
+    row at beta = 1, its beta^0 prefix at beta = 0.  The lead of a class
+    is beta-free and a beta^k term has x-degree k above it, so the
+    specialized basis is unitriangular in the same order.  Given d, the
+    residual is the beta = 1 image of an element homogeneous of degree
+    d, and each coordinate c of w is lifted to c beta^(length(w) - d):
+    length(w) is the degree of w's lead."""
     if n not in _BASIS:
         _leads(n)
     leads, rows = _BASIS[n]
     degrees = _degrees(n)
     get = residual.get
     found = []
-    for k, c in enumerate(map(residual.pop, leads, itertools.repeat(0))):
+    for k, c in enumerate(map(get, leads, itertools.repeat(0))):
         if not c:
             continue
-        rank, w, sign, row = rows[k]
+        rank, w, sign, row, cut = rows[k]
         c *= sign
         found.append((rank, w, {0 if d is None else degrees[leads[k]] - d: c}))
-        it = iter(row)
-        for i, bs, cs in zip(it, it, it):
-            if beta or not bs:
-                residual[i] = get(i, 0) - c * cs
+        it = iter(row) if beta else itertools.islice(row, cut)
+        for i, cs in zip(it, it):
+            residual[i] = get(i, 0) - c * cs
     if any(residual.values()):
         raise SingularTransitionError("expansion left a nonzero residual")
     found.sort()

@@ -2,10 +2,18 @@
 
 Each suite returns a list of CheckResult; a check compares the engine
 against an independent route (pipe dream enumeration, closed-form
-counting, iterated group-law sums, alternative reduced words).  Soft
-observations that are not correctness contracts (empirical coefficient
-positivity) are reported as warnings in the detail field and never fail
-a check.
+counting, iterated group-law sums, alternative reduced words).
+
+The Schubert coefficients of every CH class are non-negative, and that
+is a theorem, not an observation: by the Chow closed form (the Cauchy
+identity at beta = 0, where F_q(S_u) = q^l(u) S_u)
+
+    CH(w) = sum over v.u = w.w0, l(u) + l(v) = l(w.w0), of q^l(u) S_u S_(w0 v^-1 w0),
+
+a sum of products of two Schubert classes with positive weights, and
+Schubert structure constants are >= 0.  So a negative coefficient
+would be an engine fault.  pointcount_suite still probes for one, and
+reports it as a warning that never fails a check.
 """
 
 from __future__ import annotations
@@ -125,7 +133,11 @@ def coefficient_survey(n: int, q: int) -> dict:
     """The Schubert expansions of the Chow classes of all X(w), w in
     S_n, at q: the number of classes, their average support, every
     negative coefficient as (w, v, c), and the largest |c| as
-    (|c|, w, v)."""
+    (|c|, w, v).
+
+    By the Chow closed form (module docstring) every coefficient is
+    >= 0, so "negatives" is a check of the engine: it is empty unless
+    the engine is wrong."""
     negatives = []
     biggest = (0, None, None)
     support = 0
@@ -163,8 +175,9 @@ def pointcount_suite(ns=(2, 3), qs=DEFAULT_QS) -> list[CheckResult]:
                 detail = f"stray term {got[v].get(0, 0)} at {perm.format_permutation(v)}"
             else:
                 detail = "" if got_val == want else f"expected {want}, got {got_val}"
-            # empirical observation, not a contract: beta=0 expansion
-            # coefficients of DL classes look nonnegative; log only
+            # CH coefficients are >= 0 by the Chow closed form (module
+            # docstring), so a negative one is an engine fault; the probe
+            # logs it as a warning and the check stays the point count
             warn = [
                 f"negative coefficient at {perm.format_permutation(v)} "
                 f"in the class of {perm.format_permutation(w)}"

@@ -471,6 +471,24 @@ def _cli_process(*args):
     return _python("-m", "dlschubert.cli", *args)
 
 
+@pytest.mark.parametrize("args", [
+    ("-m", "dlschubert.cli", "betapoly", "--n", "5", "--w", "[5,4,3,2,1]"),
+    (str(Path(__file__).parents[1] / "scripts" / "dl_tables.py"),
+     "--n", "5", "--q", "2", "--theory", "CK"),
+])
+def test_a_closed_pipe_ends_quietly(args):
+    # each prints about 200 KB, more than a pipe holds, so a reader that
+    # closes its end after 100 bytes does so while the writer still writes
+    env = dict(os.environ, PYTHONPATH=str(Path(dlschubert.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (cli.BROKEN_PIPE, b"")
+
+
 def test_cli_does_not_import_verify():
     code = "import sys, dlschubert.cli; sys.exit('dlschubert.verify' in sys.modules)"
     assert _python("-c", code).returncode == 0

@@ -7,7 +7,7 @@ from math import comb, isqrt
 
 import pytest
 
-from dlschubert import betapoly, clear_caches, dlclass, fgl, flagring, perm, poly
+from dlschubert import betapoly, clear_caches, dlclass, fgl, perm, poly
 from dlschubert.dlclass import (
     CONVENTIONS,
     DLQuery,
@@ -205,16 +205,16 @@ def test_ch_classes_build_no_image():
 
 def test_images_and_pair_forms_hold_no_beta_exponent():
     # a CK class is its K0 sum lifted by degree, so the images and pair
-    # forms both theories read are taken at beta = 1: image slots carry
-    # no beta bits and a pair form holds (code, coeff) pairs
+    # forms both theories read are taken at beta = 1: an image holds
+    # (staircase index, coeff) pairs, each index below 4!, and a pair
+    # form holds (code, coeff) pairs
     clear_caches()
     for theory in ("CK", "K0"):
         for w in perm.all_permutations(4):
             dl_class(DLQuery(w, 4, 3, theory))
-    low = (1 << flagring._BETA_BITS) - 1
     images = dlclass._IMAGES[(4, 3)]
-    assert len(images) > 1
-    assert not any(slot & low for image in images.values() for slot in image[::2])
+    assert len(images) > 1 and all(len(image) % 2 == 0 for image in images.values())
+    assert all(0 <= i < 24 for image in images.values() for i in image[::2])
     forms = [dlclass._pair_form(tuple(w)[::-1], 4) for w in perm.all_permutations(4)]
     assert any(forms) and all(len(form) % 2 == 0 for form in forms)
 
@@ -278,7 +278,7 @@ def test_identity_pair_form_is_the_flag_count():
             count = [sum(count[max(0, j - i + 1) : j + 1]) for j in range(len(count) + i - 1)]
         sign = (-1) ** (n * (n - 1) // 2)
         w0 = perm.longest_element(n)
-        point = (len(staircase_monomials(n)) - 1) << flagring._BETA_BITS
+        point = len(staircase_monomials(n)) - 1
         assert dlclass._pair_form(w0, n) == (), n
         assert dlclass._fold(w0, n, 0) == ((point, tuple(sign * c for c in count)),), n
 
