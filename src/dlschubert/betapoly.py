@@ -27,16 +27,6 @@ phi_i runs term by term, each term emitting its output monomials into
 one dict; likewise the top product is built by folding in one factor at
 a time, three monomials per term.
 
-At beta = 0 both kernels keep their beta-free part: the top product
-loses its beta*x_i*y_j monomials and phi_i becomes d_i, since the beta
-part of phi_i f only raises beta exponents.  So the beta^0 part of a
-member is the beta^0 part of the member above it under d_i, and
-beta0_polynomial builds that chain (the double Schubert polynomials of
-Lascoux and Schutzenberger, "Polynomes de Schubert", 1982, with y
-negated) from the top product at beta = 0 along the same ascents, with
-a memo of its own: the Chow classes read only these parts.  At n = 6
-the top product has 187,945 terms, of which 15,944 are beta-free.
-
 One member alone is cheaper by the Cauchy identity for double
 Grothendieck polynomials (Fomin and Kirillov, "Grothendieck polynomials
 and the Yang-Baxter equation", 1994).  With v * u the Demazure product
@@ -55,14 +45,16 @@ chain wins: w0 is the top product itself and a member of length
 l(w0) - 1 one phi_i step below it (at n = 6, 0.5 s and 0.75 s, against
 2.7 s and 1.0 s by the identity).
 
-So the CLI (cli._family_polynomial, for `betapoly` and for the member
-that a `dlclass` class reads) takes the identity below length
-l(w0) - 1 and the chain above, and installs the member with
-prime_cache.  double_beta_polynomial keeps the chain, and so do its
-in-process callers (dlclass, verify, the scripts): a table shares the
-chain's intermediate members (all of S_5 takes 0.37 s by the chain,
-0.51 s by the identity), the chain is the identity's test oracle,
-and perfbench/test_perfbench.py pins its recursion.
+So the `betapoly` command (cli._family_polynomial) takes the identity
+below length l(w0) - 1 and the chain above, and installs the member
+with prime_cache.  double_beta_polynomial keeps the chain, and so do
+its in-process callers (verify, the scripts, the test oracles): a table
+shares the chain's intermediate members (all of S_5 takes 0.37 s by
+the chain, 0.51 s by the identity), the chain is the identity's test
+oracle, and perfbench/test_perfbench.py pins its recursion.  No
+Deligne-Lusztig class reads a member: dlclass sums the same Cauchy
+terms inside the quotient ring, from cauchy_pairs alone.  At n = 6 the
+top product has 187,945 terms.
 
 Specializations (classical families):
   * beta = 0 and y -> -y gives the double Schubert polynomial of w;
@@ -93,14 +85,13 @@ def _bump(exp: tuple[int, ...], i: int) -> tuple[int, ...]:
     return exp + (0,) * (i - 1 - len(exp)) + (1,)
 
 
-def top_beta_polynomial(n: int, beta: bool = True) -> BetaPolynomial:
+def top_beta_polynomial(n: int) -> BetaPolynomial:
     """Polynomial of the longest element of S_n:
-    prod over i + j <= n of (x_i + y_j + beta x_i y_j), or its beta^0
-    part prod (x_i + y_j) if beta is false.
+    prod over i + j <= n of (x_i + y_j + beta x_i y_j).
 
     Each factor is folded into the running term dict: a term gives
-    exactly three monomials (two at beta = 0).  Every coefficient is
-    positive, so nothing cancels.
+    exactly three monomials.  Every coefficient is positive, so nothing
+    cancels.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -114,21 +105,16 @@ def top_beta_polynomial(n: int, beta: bool = True) -> BetaPolynomial:
             for (xe, ye, be), c in terms.items():
                 xs = xbumped.get(xe) or xbumped.setdefault(xe, _bump(xe, i))
                 ys = ybumped.get(ye) or ybumped.setdefault(ye, _bump(ye, j))
-                for m in ((xs, ye, be), (xe, ys, be)):
-                    out[m] = get(m, 0) + c
-                if beta:
-                    m = (xs, ys, be + 1)
+                for m in ((xs, ye, be), (xe, ys, be), (xs, ys, be + 1)):
                     out[m] = get(m, 0) + c
             terms = out
     return BetaPolynomial(terms)
 
 
-def _phi_images(
-    xe: tuple[int, ...], i: int, beta: bool = True
-) -> list[tuple[tuple[int, ...], int, int]]:
+def _phi_images(xe: tuple[int, ...], i: int) -> list[tuple[tuple[int, ...], int, int]]:
     """phi_i of the monomial x^xe as (x exponents, added beta exponent,
-    sign) triples: d_i x^xe, then (if beta) beta d_i(x_{i+1} x^xe), by
-    the closed form of d_i in the module docstring."""
+    sign) triples: d_i x^xe, then beta d_i(x_{i+1} x^xe), by the closed
+    form of d_i in the module docstring."""
     if len(xe) > i:
         a, b = xe[i - 1], xe[i]
         head, tail = xe[:i - 1], xe[i + 1:]
@@ -136,7 +122,7 @@ def _phi_images(
         a, b = (xe[i - 1] if len(xe) == i else 0), 0
         head, tail = xe[:i - 1] + (0,) * (i - 1 - len(xe)), ()
     out = []
-    for u, v, k in ((a, b, 0), (a, b + 1, 1))[:2 if beta else 1]:
+    for u, v, k in ((a, b, 0), (a, b + 1, 1)):
         lo, hi, s = (v, u, 1) if u > v else (u, v, -1)
         for e in range(lo, hi):
             f = lo + hi - 1 - e
@@ -152,10 +138,9 @@ def _phi_images(
     return out
 
 
-def divided_difference(i: int, p: BetaPolynomial, beta: bool = True) -> BetaPolynomial:
+def divided_difference(i: int, p: BetaPolynomial) -> BetaPolynomial:
     """phi_i p = d_i p + beta d_i(x_{i+1} p); lowers graded degree by
-    one.  Constants map to -beta times themselves.  If beta is false,
-    d_i p alone: the beta^0 part of phi_i p when p is beta-free.
+    one.  Constants map to -beta times themselves.
 
     Termwise: phi_i is linear over y and beta, so each term emits the
     images of its x-monomial (computed once per distinct monomial)
@@ -169,7 +154,7 @@ def divided_difference(i: int, p: BetaPolynomial, beta: bool = True) -> BetaPoly
     for (xe, ye, be), c in p.terms().items():
         emitted = images.get(xe)
         if emitted is None:
-            emitted = images[xe] = _phi_images(xe, i, beta)
+            emitted = images[xe] = _phi_images(xe, i)
         for x, k, s in emitted:
             m = (x, ye, be + k)
             out[m] = get(m, 0) + s * c
@@ -178,10 +163,8 @@ def divided_difference(i: int, p: BetaPolynomial, beta: bool = True) -> BetaPoly
 
 # per-process family cache, write-once: values are immutable and an
 # entry is never replaced, so of two concurrent computations one wins;
-# _BETA0 holds the beta^0 chain and _SINGLE the single polynomials G_w(x)
-# the same way
+# _SINGLE holds the single polynomials G_w(x) the same way
 _FAMILY: dict[tuple[int, Permutation], BetaPolynomial] = {}
-_BETA0: dict[tuple[int, Permutation], BetaPolynomial] = {}
 _SINGLE: dict[tuple[int, Permutation], BetaPolynomial] = {}
 
 
@@ -210,14 +193,6 @@ def double_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
     return _FAMILY.setdefault((n, w), value)
 
 
-def beta0_polynomial(w, n: int | None = None) -> BetaPolynomial:
-    """The beta^0 part of double_beta_polynomial(w, n), without building
-    that member: the top product at beta = 0, then d_i along the ascents
-    that double_beta_polynomial takes, memoized in _BETA0."""
-    w, n = _resolve(w, n)
-    return _chain(_BETA0, w, n, lambda: top_beta_polynomial(n, beta=False), beta=False)
-
-
 def single_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
     """G_w(x) = double_beta_polynomial(w, n) at y = 0, without the y
     alphabet: x^delta = x_1^(n-1) ... x_(n-1) (the top product at y = 0),
@@ -227,10 +202,10 @@ def single_beta_polynomial(w, n: int | None = None) -> BetaPolynomial:
     return _chain(_SINGLE, w, n, lambda: BetaPolynomial({(tuple(range(n - 1, 0, -1)), (), 0): 1}))
 
 
-def _chain(memo, w: Permutation, n: int, top, beta: bool = True) -> BetaPolynomial:
+def _chain(memo, w: Permutation, n: int, top) -> BetaPolynomial:
     """The polynomial of w in S_n down a chain like the family's: top() at
-    the longest element, then divided_difference(i, ., beta) along the
-    first right ascent i of each member, every member memoized in
+    the longest element, then divided_difference(i, .) along the first
+    right ascent i of each member, every member memoized in
     memo[(n, w)]."""
     cached = memo.get((n, w))
     if cached is not None:
@@ -239,7 +214,7 @@ def _chain(memo, w: Permutation, n: int, top, beta: bool = True) -> BetaPolynomi
         value = top()
     else:
         i = perm.right_ascents(w)[0]
-        value = divided_difference(i, _chain(memo, perm.times_s(w, i), n, top, beta), beta)
+        value = divided_difference(i, _chain(memo, perm.times_s(w, i), n, top))
     return memo.setdefault((n, w), value)
 
 
@@ -307,9 +282,8 @@ def cauchy_polynomial(w, n: int | None = None) -> BetaPolynomial:
 
 
 def clear_cache() -> None:
-    """Empty the family, its beta^0 chain and the single polynomials."""
+    """Empty the family and the single polynomials."""
     _FAMILY.clear()
-    _BETA0.clear()
     _SINGLE.clear()
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: betapoly (print a member of the polynomial family),
 dlclass (Deligne-Lusztig class with optional Schubert expansion),
-verify (consistency suites), cache (on-disk cache management).
+verify (consistency suites), cache (the on-disk cache of betapoly members).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 structurally valid but inadmissible parameters, 4 the computation
@@ -39,7 +39,7 @@ class CLIError(Exception):
 
 
 def _cache_store(args) -> PolynomialCache | None:
-    directory = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR)
+    directory = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
     return PolynomialCache(directory) if directory else None
 
 
@@ -83,15 +83,10 @@ def cmd_betapoly(args) -> int:
 def cmd_dlclass(args) -> int:
     w, n = betapoly._resolve(perm.parse_permutation(args.w), args.n)
     query = dlclass.DLQuery(w, n, args.q, args.theory.upper())
-    # refuse before any work: nothing is computed or cached for a bad query
+    # refuse before any work: nothing is computed for a bad query
     query.validate(strict=args.strict)
     if args.kim and query.theory != "CH":
         raise CLIError(3, "--kim is defined for Chow classes only; pass --theory ch")
-    v = perm.compose(w, perm.longest_element(n))
-    # only a class that reads the full member of w.w0 needs it; a CH
-    # class and the identity read the beta^0 chain alone
-    if dlclass._fold_exponent(v, n, dlclass.BETA[query.theory]):
-        _family_polynomial(v, n, _cache_store(args))
     result = dlclass._dl_class(query)
     kim = dlclass.kim_transform(result.element) if args.kim else None
     if args.format == "json":
@@ -195,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--strict", action="store_true",
                     help="reject q that is not a prime power")
     pd.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
-    pd.add_argument("--cache-dir", default=None)
     pd.set_defaults(func=cmd_dlclass)
 
     pv = sub.add_parser("verify", help="run consistency suites")

@@ -8,54 +8,46 @@ double beta-polynomial of w.w0 and substituting
     x_i -> q-fold formal sum of x_i     (class of the q-th tensor power)
     y_j -> formal inverse of x_{n+1-j}  (class of a dual line bundle)
 
-inside the quotient ring, where the formal operations use the group law
-a + b - beta*a*b.  Both images of pair i (x_i and y_{n+1-i}) are power
-series in x_i alone, and x_i^n = 0 in the quotient ring, so a factor
-x_i^a y_{n+1-i}^b maps to a product of a copies of [q]t and b copies
-of inverse(t), truncated at t^n (fgl.n_times_series and
-fgl.inverse_series) at t = x_i.
+inside the quotient ring R = Z[beta][x]/(e_1..e_n), where the formal
+operations use the group law a + b - beta*a*b.
 
-The substitution is a ring map, hence linear on the family, and all
-members of S_n together use at most n!^2 distinct monomials.  So the
-image of a monomial at beta = 1 is built once per (n, q, monomial) and
-memoized as a flat tuple of (staircase index, coeff) pairs.  One
-recursive builder makes it: the image of the same monomial with one
-generator factor fewer in its last pair, times that factor's series,
-by one product kernel that shifts indices while a product stays in the
-staircase and reads the others from flagring's memo of reduced
-monomials, which the Schubert basis and the ring product read too.
+By the Cauchy identity (Fomin and Kirillov, "Grothendieck polynomials
+and the Yang-Baxter equation", 1994; betapoly.cauchy_pairs) that member
+is the sum over v * u = w.w0 of beta^k G_u(x) G_(v^-1)(y),
+k = l(u) + l(v) - l(w.w0).  The substitution is a ring map, and each
+factor lands inside R: G_u(x) goes to F_q(S_u), where S_u is the
+Schubert class of u and F_q (x_i -> [q]x_i) a ring endomorphism of R,
+and G_(v^-1)(y) goes to the Schubert class of w0 v^-1 w0.  So a class
+is a sum of products of Schubert classes, and no free double
+polynomial is built.  Every piece is an integer row over staircase
+indices at beta = 1 (flagring._class_row), and one product kernel
+(_product) multiplies two rows by adding monomial codes and reducing
+the sums through flagring's memo of reduced monomials, which the
+Schubert basis and the ring product read too.
 
-The member of v = w.w0 is homogeneous: its beta^e terms have x,y-degree
-length(v) + e.  Where only the lowest entry q^a (-1)^b t^(a+b) of each
-pair's ([q]t)^a inverse(t)^b counts, the image of c beta^e x^a y^b is
-c q^|a| (-1)^|b| beta^e times the reduced monomial of the pair sums
-a_i + b_{n+1-i}, so the beta^e terms fold into one polynomial in q per
-staircase monomial (_fold).  That holds at e = n(n-1)/2 - length(v),
-the top degree, where the higher entries pass n(n-1)/2: the fold there
-is the point part of the class.  A K0 class is the sparse sum
-c * image over the lower terms of the member, read from a memoized
-"pair form" of it at beta = 1, plus its point part at q; the sum of
-reduced images is already in normal form, so no class is reduced as a
-whole.  The images are the engine's largest memo;
-flagring.clear_caches() empties them.
-The family itself is built in the free ring first: the formal inverse
-exists only in the quotient ring, so the x-arguments must never be
-reduced while it is being assembled.
+A K0 class is the sum over the pairs, grouped by u, of
+F_q(S_u) * sum over u's v of (-1)^k S_(w0 v^-1 w0).  The pairs and each
+u's y side are a memo of (w, n) (_cauchy_sides).  F_q is applied
+through the images of the n! staircase monomials, built once per
+(n, q) in one pass (_frobenius_images), and F_q(S_u) is a memo of
+(n, q, u); flagring.clear_caches() empties both.
 
 Specializations: beta = 0 recovers the Chow-group class, beta = 1 the
 K-theory class of the structure sheaf (reading c1(L) = 1 - [dual L]).
 Each theory works at its own beta, not by specializing the CK answer.
-At beta = 0 the group law is additive ([q]t = qt, inverse(t) = -t), so
-the CH class is the fold of the member's beta^0 terms alone.  Those
-terms come from betapoly's beta^0 chain (betapoly.beta0_polynomial), so
-a CH class builds no pair form, no image and no full member; neither
-does the identity in any theory, whose member w0 has only top-degree
-terms, folded at beta^0.  CK = K0 lifted by degree: with deg beta = -1
-the class of w is homogeneous of degree d = length(w.w0), so its term
-c beta^e x^m has e = |m| - d and its coordinate at u exponent
-length(u) - d.  Every class is summed once, at beta = 0 or 1, as
-{staircase index: coeff}, with no beta exponent: the element is built
-from that sum (FlagRingElement.from_slots) and the same sum is expanded
+At beta = 0 only the pairs with k = 0 count, and F_q(S_u) = q^l(u) S_u,
+so the CH class is the Chow closed form, the sum of
+q^l(u) S_u^0 S_(w0 v^-1 w0)^0 over those pairs (S^0 the beta^0 part of
+a class row): rows over Z[q], a memo of (w, n) (_chow_rows), evaluated
+at q.  The identity is the same kind of rows in every theory: its
+member is the top product, of degree n(n-1)/2, so only the linear part
+q x_i - x_(n+1-j) of each factor's image counts (_identity_rows).
+CK = K0 lifted by degree: with deg beta = -1 the class of w is
+homogeneous of degree d = length(w.w0), so its term c beta^e x^m has
+e = |m| - d and its coordinate at u exponent length(u) - d.  Every
+class is summed once, at beta = 0 or 1, as {staircase index: coeff},
+with no beta exponent: the element is built from that sum
+(FlagRingElement.from_slots) and the same sum is expanded
 (flagring.schubert_expand_slots).  In CK both are given d and lift it,
 the only place where a formal beta enters, so no request reads its
 element back from tuple keys.
@@ -239,191 +231,176 @@ class DLResult:
         }
 
 
-# Images of the substitution at beta = 1, one per (n, q, monomial),
-# reduced once: _IMAGES[(n, q)][pair code] is a flat tuple (staircase
-# index, coeff, ..), for a code below x-degree n(n-1)/2, with the bases
-# _build made it from; the top-degree terms never reach it (they fold
-# into the point part), and CH classes build none.
-_IMAGES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-
-
 @functools.lru_cache(maxsize=None)
-def _slots(n: int) -> dict[int, int]:
-    """The staircase indices of S_n met so far, each mapped to itself:
-    every image stores these int objects instead of holding its own."""
-    return {}
+def _codes(n: int) -> tuple[int, ...]:
+    """The monomial code of each staircase monomial of S_n, by index."""
+    width = flagring._coding(n)[0]
+    return tuple(flagring._encode(m, width) for m in staircase_monomials(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_form(v: Permutation, n: int) -> tuple[int, ...]:
-    """The beta-sign-flipped double beta-polynomial of v below x,y-degree
-    n(n-1)/2, as a flat tuple (pair code, coeff, ..) at beta = 1.
-
-    The member is homogeneous, so these are its terms with beta exponent
-    below n(n-1)/2 - length(v), each at its own code, which fixes its
-    degree and so its beta exponent.  Pair i of a term x^a y^b beta^e is
-    (a_i, b_{n+1-i}); the pairs are encoded in base n, which is
-    injective because every member has x_i-degree at most n - i and
-    y_j-degree at most n - j (the staircase of the top product, which
-    phi_i keeps), so a_i + b_{n+1-i} <= n - 1.  A family member never
-    changes once read (betapoly.prime_cache is write-once), so the form
-    is a function of (v, n); the memo keeps the form, not the member.
-    """
-    top = n * (n - 1) // 2 - perm.length(v)
-    # a_i has place n^(2(n-1-i)+1) and b_j place n^(2j), so the code is
-    # that of a plus that of b: each distinct a and b is encoded once
-    xs: dict[tuple[int, ...], int] = {}
-    ys: dict[tuple[int, ...], int] = {}
-    form: list[int] = []
-    for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
-        if be >= top:
-            continue
-        x = xs.get(xe)
-        if x is None:
-            x = xs[xe] = sum(a * n ** (2 * (n - 1 - i) + 1) for i, a in enumerate(xe))
-        y = ys.get(ye)
-        if y is None:
-            y = ys[ye] = sum(b * n ** (2 * j) for j, b in enumerate(ye))
-        form += (x + y, -c if be % 2 else c)  # flip_beta_sign
-    return tuple(form)
-
-
-@functools.lru_cache(maxsize=None)
-def _fold(v: Permutation, n: int, e: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The beta^e terms of the beta-sign-flipped double beta-polynomial
-    of v, each pair (a, b) mapped by the lowest entry q^a (-1)^b t^(a+b)
-    of ([q]t)^a inverse(t)^b, in normal form with coefficients in Z[q]:
-    ((staircase index, coefficients by power of q), ..).
-
-    A term c x^a y^b (x,y-degree length(v) + e) adds (-1)^(e+|b|) c to
-    the q^|a| coefficient of x^s, s_i = a_i + b_{n+1-i} <= n - 1 (the
-    degree bound of _pair_form).  Each distinct x^s is then reduced
-    once.  This is the whole image at e = 0, the CH class, and at the top
-    degree, e = n(n-1)/2 - length(v), the point part of the CK class.
-    At e = 0 the terms come from the beta^0 chain
-    (betapoly.beta0_polynomial), so no full member is built.
-    """
-    width, degree = flagring._coding(n)[0], perm.length(v) + e
-    sign = -1 if e % 2 else 1  # flip_beta_sign
-    # the code of x^s is the code of x^a plus that of b reversed, so each
-    # distinct a and b is encoded once: a -> (code, |a|), b -> (code, sign)
-    xs: dict[tuple[int, ...], tuple[int, int]] = {}
-    ys: dict[tuple[int, ...], tuple[int, int]] = {}
-    sums: dict[int, list[int]] = {}
-    member = betapoly.double_beta_polynomial(v, n) if e else betapoly.beta0_polynomial(v, n)
-    for (xe, ye, be), c in member.terms().items():
-        if be != e:
-            continue
-        x = xs.get(xe)
-        if x is None:
-            x = xs[xe] = (flagring._encode(xe, width), sum(xe))
-        y = ys.get(ye)
-        if y is None:
-            padded = ye + (0,) * (n - len(ye))
-            y = ys[ye] = (
-                flagring._encode(reversed(padded), width), -sign if sum(ye) % 2 else sign)
-        code = x[0] + y[0]
-        row = sums.get(code)
-        if row is None:
-            row = sums[code] = [0] * (degree + 1)
-        row[x[1]] += y[1] * c
-    out: dict[int, list[int]] = {}
-    for code, row in sums.items():
-        for i, r in flagring._reduce_code(n, code):
-            acc = out.setdefault(i, [0] * (degree + 1))
-            for k, c in enumerate(row):
-                acc[k] += r * c
-    return tuple((i, tuple(row)) for i, row in out.items() if any(row))
-
-
-@functools.lru_cache(maxsize=None)
-def _layouts(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
-    """(step, unit, rows) for multiplying by powers of x_{j+1} in S_n, at
-    index j = 0..n-1, built in one pass over the staircase.
-
-    step is the index shift and unit the monomial code of one more power
-    of x_{j+1}.  rows[index] = (room, most, code) for the staircase
-    monomial x^k of that index: the product x^k * x_{j+1}^d is the
-    staircase monomial d * step indices on while d <= room = j - k_j, and
-    0 once d > most, because its x-degree passes n(n-1)/2 (or, for
-    j = n - 1, x_n^n = 0); in between it is the reduced monomial of
-    code + d * unit.
-    """
-    top, width = n * (n - 1) // 2, flagring._coding(n)[0]
-    monomials = [(k, top - sum(k), flagring._encode(k, width)) for k in staircase_monomials(n)]
-    return tuple(
-        (factorial(n) // factorial(j + 1), 1 << j * width, tuple(
-            (j - k[j], min(most, j - k[j]) if j == n - 1 else most, code)
-            for k, most, code in monomials
-        ))
-        for j in range(n)
-    )
-
-
-def _times(n: int, flat: tuple[int, ...], j: int, series: fgl.Series) -> tuple[int, ...]:
-    """Normal form at beta = 1 of the flat element `flat` times the series
-    `series` ((d, beta exponent, coeff), .. by ascending d; the exponent
-    is not read) at t = x_{j+1}, as a flat (index, coeff, ..) tuple."""
-    step, unit, rows = _layouts(n)[j]
+def _product(acc: dict[int, int], n: int, x: tuple[int, ...], y: tuple[int, ...]) -> None:
+    """acc += x * y in R at beta = 1, keyed by staircase index: x is a
+    flat (index, coeff, ..) row and y a flat (code, room, coeff, ..)
+    tuple, sorted by descending room = n(n-1)/2 - degree.  A product
+    monomial is the sum of the two codes, reduced by _reduce_code; one
+    whose degree passes n(n-1)/2 is 0 and never formed."""
+    codes, degrees = _codes(n), flagring._degrees(n)
     reduced = flagring._REDUCE_MEMO.setdefault(n, {})
-    out: dict[int, int] = {}
-    get = out.get
-    pairs = iter(flat)
-    for i, c in zip(pairs, pairs):
-        room, most, code = rows[i]
-        for d, _, tc in series:
-            if d > most:
+    get = acc.get
+    xs = iter(x)
+    for i, xc in zip(xs, xs):
+        code, degree = codes[i], degrees[i]
+        ys = iter(y)
+        for ycode, room, yc in zip(ys, ys, ys):
+            if room < degree:
                 break
-            if d <= room:
-                s = i + d * step
-                out[s] = get(s, 0) + c * tc
-                continue
-            row = reduced.get(code + d * unit)
+            row = reduced.get(code + ycode)
             if row is None:
-                row = flagring._reduce_code(n, code + d * unit)
-            c2 = c * tc
-            for s, rc in row:
-                out[s] = get(s, 0) + c2 * rc
-    slots = _slots(n)
-    product: list[int] = []
-    for s, c in out.items():
-        if c:
-            product += (slots.setdefault(s, s), c)
-    return tuple(product)
+                row = flagring._reduce_code(n, code + ycode)
+            c = xc * yc
+            for k, r in row:
+                acc[k] = get(k, 0) + c * r
 
 
-def _build(n: int, q: int, code: int) -> tuple[int, ...]:
-    """The image of a nonzero pair code, memoized in _IMAGES[(n, q)]
-    (which holds the image of code 0) with the images of the bases it is
-    built from.
+def _side(n: int, sums: dict[int, int]) -> tuple[int, ...]:
+    """{staircase index: coeff} as the y argument of _product."""
+    codes, degrees, top = _codes(n), flagring._degrees(n), n * (n - 1) // 2
+    return tuple(v for k in sorted(sums, key=degrees.__getitem__) if sums[k]
+                 for v in (codes[k], top - degrees[k], sums[k]))
 
-    Pair j is the last pair (a, b) of the code that is not (0, 0).  If
-    a > 0 the image is that of the base with a - 1 there, times [q]t
-    (fgl.n_times_series) at x_{j+1}; otherwise that of the base with
-    b - 1 there, times inverse(t) (fgl.inverse_series).
-    """
-    memo = _IMAGES[(n, q)]
-    nn = n * n
-    place, j = 1, n - 1
-    while not code // place % nn:
-        place, j = place * nn, j - 1
-    if code // place % nn >= n:  # a > 0
-        base, factor = code - n * place, fgl.n_times_series(q, n)
-    else:
-        base, factor = code - place, fgl.inverse_series(n)
-    flat = memo.get(base)
-    if flat is None:
-        flat = _build(n, q, base)
-    image = memo[code] = _times(n, flat, j, factor)
+
+def _row(acc: dict[int, int]) -> tuple[int, ...]:
+    """{staircase index: coeff} as a flat (index, coeff, ..) row."""
+    return tuple(v for kc in acc.items() if kc[1] for v in kc)
+
+
+def _low(row: tuple[int, ...], n: int, length: int) -> tuple[int, ...]:
+    """The beta^0 part of a class row of degree length: its first terms."""
+    degrees, k = flagring._degrees(n), 0
+    while k < len(row) and degrees[row[k]] == length:
+        k += 2
+    return row[:k]
+
+
+def _dual(v: Permutation) -> Permutation:
+    """w0 v^-1 w0, whose class is the y side G_(v^-1)(y) of a Cauchy term
+    under y_j -> inverse(x_(n+1-j))."""
+    n = len(v)
+    return tuple(n + 1 - a for a in reversed(perm.inverse(v)))
+
+
+# F_q (x_i -> [q]x_i) at beta = 1, per (n, q): _FROBENIUS[(n, q)] =
+# (images, classes), images[i] the image of the staircase monomial of
+# index i and classes[u] that of the Schubert class of u, each a flat
+# (index, coeff, ..) row
+_FROBENIUS: dict[tuple[int, int], tuple[list[tuple[int, ...]], dict[Permutation, tuple[int, ...]]]] = {}
+
+
+def _frobenius_images(n: int, q: int) -> list[tuple[int, ...]]:
+    """F_q of every staircase monomial of S_n, in one pass in index
+    order: x^m is x^b x_(j+1) with x_(j+1) its last generator, and b has
+    a lower index, so F_q(x^m) = F_q(x^b) * [q]x_(j+1)
+    (fgl.n_times_series at beta = 1)."""
+    width, top = flagring._coding(n)[0], n * (n - 1) // 2
+    series = fgl.n_times_series(q, n)
+    sides = [tuple(v for d, _, c in series for v in (d << j * width, top - d, c)) for j in range(n)]
+    steps = [factorial(n) // factorial(j + 1) for j in range(n)]  # index step of x_(j+1)
+    images = [(0, 1)]
+    for i in range(1, factorial(n)):
+        m = flagring._staircase(n, i)
+        j = max(k for k, e in enumerate(m) if e)
+        acc: dict[int, int] = {}
+        _product(acc, n, images[i - steps[j]], sides[j])
+        images.append(_row(acc))
+    return images
+
+
+def _frobenius_class(u: Permutation, n: int, q: int) -> tuple[int, ...]:
+    """F_q of the Schubert class of u at beta = 1, as a flat row: the
+    images of its staircase monomials summed (F_q is a ring endomorphism
+    of R, so it is linear)."""
+    memo = _FROBENIUS.get((n, q))
+    if memo is None:
+        memo = _FROBENIUS[(n, q)] = (_frobenius_images(n, q), {})
+    images, classes = memo
+    image = classes.get(u)
+    if image is None:
+        acc: dict[int, int] = {}
+        get = acc.get
+        row = iter(flagring._class_row(u, n))
+        for i, c in zip(row, row):
+            it = iter(images[i])
+            for k, ic in zip(it, it):
+                acc[k] = get(k, 0) + c * ic
+        image = classes[u] = _row(acc)
     return image
 
 
-def _fold_exponent(v: Permutation, n: int, beta: int | None) -> int:
-    """The beta exponent e of the fold in the class of w = v.w0 at beta:
-    0 in CH, else the top one, n(n-1)/2 - length(v).  The class reads
-    the full family member of v (its pair form) only if e > 0; at e = 0,
-    in CH and for v = w0, it reads the beta^0 chain alone."""
-    return 0 if beta == 0 else n * (n - 1) // 2 - perm.length(v)
+@functools.lru_cache(maxsize=None)
+def _cauchy_sides(w: Permutation, n: int) -> tuple[tuple[Permutation, tuple[int, ...]], ...]:
+    """((u, y side), ..) over betapoly.cauchy_pairs(w.w0): the K0 class of
+    w is the sum of F_q(S_u) * y side, where the y side of u is the sum
+    over its v of (-1)^k S_(w0 v^-1 w0), k = l(u) + l(v) - l(w.w0), as
+    the y argument of _product."""
+    v0 = tuple(w)[::-1]  # w.w0: w0 = (n, .., 1) reverses one-line notation
+    length = perm.length(v0)
+    sides = []
+    for u, vs in betapoly.cauchy_pairs(v0).items():
+        lu, sums = perm.length(u), {}
+        for v in vs:
+            sign = -1 if (lu + perm.length(v) - length) % 2 else 1
+            row = iter(flagring._class_row(_dual(v), n))
+            for k, c in zip(row, row):
+                sums[k] = sums.get(k, 0) + sign * c
+        side = _side(n, sums)
+        if side:
+            sides.append((u, side))
+    return tuple(sides)
+
+
+@functools.lru_cache(maxsize=None)
+def _chow_rows(w: Permutation, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The CH class of w with coefficients in Z[q]: ((staircase index,
+    coefficients by power of q), ..), by the Chow closed form, the sum
+    over the pairs of cauchy_pairs(w.w0) with l(u) + l(v) = l(w.w0) of
+    q^l(u) S_u^0 S_(w0 v^-1 w0)^0, S^0 the beta^0 prefix of a class row."""
+    v0 = tuple(w)[::-1]
+    length = perm.length(v0)
+    sums: dict[int, list[int]] = {}
+    for u, vs in betapoly.cauchy_pairs(v0).items():
+        lu, ys = perm.length(u), {}
+        for v in vs:
+            if lu + perm.length(v) == length:
+                row = iter(_low(flagring._class_row(_dual(v), n), n, length - lu))
+                for k, c in zip(row, row):
+                    ys[k] = ys.get(k, 0) + c
+        acc: dict[int, int] = {}
+        _product(acc, n, _low(flagring._class_row(u, n), n, lu), _side(n, ys))
+        for k, c in acc.items():
+            sums.setdefault(k, [0] * (length + 1))[lu] += c
+    return tuple((i, tuple(row)) for i, row in sums.items() if any(row))
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_rows(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The class of the identity in every theory, as _chow_rows gives a
+    class: the product of the n(n-1)/2 factors q x_i - x_(n+1-j),
+    i + j <= n.  The member of w0 is the top product, of x,y-degree
+    n(n-1)/2, so only the linear part of each factor's image
+    [q]x_i (+) inverse(x_(n+1-j)) reaches the ring."""
+    width, codes, top = flagring._coding(n)[0], _codes(n), n * (n - 1) // 2
+    rows = {0: [1] + [0] * top}
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            out: dict[int, list[int]] = {}
+            for s, row in rows.items():
+                for unit, shift, sign in ((1 << (i - 1) * width, 1, 1), (1 << (n - j) * width, 0, -1)):
+                    for k, r in flagring._reduce_code(n, codes[s] + unit):
+                        acc = out.setdefault(k, [0] * (top + 1))
+                        for p, c in enumerate(row[:top + 1 - shift]):
+                            acc[p + shift] += sign * r * c
+            rows = out
+    return tuple((i, tuple(row)) for i, row in rows.items() if any(row))
 
 
 def _ck_element(w: Permutation, n: int, q: int, beta: int | None = None) -> FlagRingElement:
@@ -438,31 +415,17 @@ def _class_slots(w: Permutation, n: int, q: int, beta: int | None) -> dict[int, 
     which from_slots and schubert_expand_slots lift by the class's
     degree length(w.w0).
 
-    At beta = 1 (K0) it is the sum c * image(pairs) over the pair form
-    of the member of w.w0, plus the point part, the fold at the top beta
-    exponent evaluated at q.  At beta = 0 (CH), and for the identity
-    (whose member, the top product, has only top-degree terms), it is
-    the fold of the beta^0 terms alone: it builds no pair form, no image
-    and no full member.  Images and reduced monomials are in normal
-    form already."""
-    v = tuple(w)[::-1]  # w.w0: w0 = (n, .., 1) reverses one-line notation
-    e = _fold_exponent(v, n, beta)
+    The identity (in every theory) and the CH classes are rows over Z[q]
+    evaluated at q; a K0 class is the sum over _cauchy_sides of
+    F_q(S_u) * y side, in normal form already."""
+    identity = w == perm.identity(n)
+    if identity or beta == 0:
+        rows = _identity_rows(n) if identity else _chow_rows(w, n)
+        powers = [q**k for k in range(len(rows[0][1]))]
+        return {i: sum(map(mul, row, powers)) for i, row in rows}
     acc: dict[int, int] = {}
-    get = acc.get
-    if e:
-        images = _IMAGES.setdefault((n, q), {0: (0, 1)})
-        it = iter(_pair_form(v, n))
-        for code, c in zip(it, it):
-            image = images.get(code)
-            if image is None:
-                image = _build(n, q, code)
-            pairs = iter(image)
-            for i, ic in zip(pairs, pairs):
-                acc[i] = get(i, 0) + c * ic
-    # the fold's degree in q: the top degree unless in CH
-    powers = [q**k for k in range(perm.length(v) + e + 1)]
-    for i, row in _fold(v, n, e):
-        acc[i] = get(i, 0) + sum(map(mul, row, powers))
+    for u, side in _cauchy_sides(w, n):
+        _product(acc, n, _frobenius_class(u, n, q), side)
     return acc
 
 

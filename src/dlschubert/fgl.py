@@ -80,13 +80,13 @@ def n_times(m: int, a):
     return acc
 
 
-# -- univariate series in a nilpotent variable t with t^n = 0 -------------
+# -- a univariate series in a nilpotent variable t with t^n = 0 ----------
 #
 # Each generator x_i of the quotient ring satisfies x_i^n = 0, so the
-# images [q]x_i and inverse(x_i) of the Deligne-Lusztig substitution are
-# these series truncated at t^n; an image is built by multiplying by
-# them one factor at a time (dlclass._build).  Both are memoized, and
-# flagring.clear_caches() empties them.
+# image [q]x_i of the Frobenius substitution x_i -> [q]x_i is this series
+# truncated at t^n; dlclass._frobenius_images multiplies by it one
+# generator at a time.  It is memoized, and flagring.clear_caches()
+# empties it.
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,10 +98,3 @@ def n_times_series(m: int, n: int) -> Series:
     return tuple(
         (i, i - 1, (-1) ** (i - 1) * comb(m, i)) for i in range(1, min(m, n - 1) + 1)
     )
-
-
-@functools.lru_cache(maxsize=None)
-def inverse_series(n: int) -> Series:
-    """Formal inverse -sum_{k=0..n-2} beta^k t^(k+1) mod t^n; the
-    series fgl_inverse sums."""
-    return tuple((k + 1, k, -1) for k in range(n - 1))

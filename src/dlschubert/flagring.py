@@ -35,8 +35,8 @@ deg beta = -1, an element homogeneous of degree d has terms
 c beta^(|m| - d) x^m, so it is its beta = 1 image, an integer row
 {index: c}, lifted by degree.  Reduced monomials, the rows of phi_i
 (taken at beta = 1) and the Schubert classes (_class_row, lifted by
-length(w)) are such rows, and so are dlclass's images, folds and class
-sums.  The lift to formal beta lives in two places only:
+length(w)) are such rows, and so are dlclass's Frobenius images and
+class sums.  The lift to formal beta lives in two places only:
 from_slots(n, slots, d) builds the element, and
 schubert_expand_slots(n, slots, 1, d) its expansion, each coordinate c
 at w lifted to c beta^(length(w) - d).  Only the general product and
@@ -154,7 +154,7 @@ def _h_offsets(n: int, v: int) -> tuple[int, ...]:
 
 
 # n -> {code: normal form as ((staircase index, coeff), ..)}, read by the
-# rows of phi_i, the ring product, dlclass's image kernel and its folds
+# rows of phi_i, the ring product and dlclass's product kernel
 _REDUCE_MEMO: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
 
 
@@ -491,34 +491,32 @@ def clear_caches() -> None:
     relations, monomial reduction, the rows of phi_i on the staircase
     basis, the classes as integer rows (_class_row), Schubert classes as
     elements, their leads and the basis rows (_BASIS), the double
-    beta-polynomial family, its beta^0 chain and the single polynomials
-    G_w(x) that the Cauchy identity sums (betapoly._SINGLE), the series
-    [q]t and inverse(t) of the formal group law, the reduced
-    Deligne-Lusztig monomial images at beta = 1, the product layouts
-    they are built from and the indices they store, the pair forms of
-    the family members they are summed over, a memo of (v, n), and the
-    folds of the members' beta^e terms into polynomials in q, a memo of
-    (v, n, e).
+    beta-polynomial family and the single polynomials G_w(x) that the
+    Cauchy identity sums (betapoly._SINGLE), the series [q]t of the
+    formal group law, and dlclass's memos: the code of each staircase
+    index, the images of F_q (x_i -> [q]x_i) at beta = 1 with the F_q
+    images of the Schubert classes, a memo of (n, q), the Cauchy
+    factorizations of each class with their y sides, a memo of (w, n),
+    and the Chow and identity rows over Z[q].
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
     3,015 and 28,786 reduced monomials), and n! class rows of 875
     (index, coeff) pairs at n = 5 (388 of them in the beta^0 prefixes),
     20,491 at n = 6 (5,685) and 725,198 at n = 7 (123,013); _BASIS
-    shares the class rows.  The images grow with every (n, q) of a CK or
-    K0 class, which share them: all 120 classes of S_5 at q = 2, 3, 5 in
-    each theory leave 18,705 images with 173,243 (index, coeff) pairs,
-    pair forms of 89,531 (code, coeff) pairs and four series (three
-    [q]t, one inverse(t)).  The family (120 members, 153,396 terms), its
-    beta^0 chain (120 members, 14,772 terms), the folds (239, with 1,038
-    index rows at beta^0 and 21 at the top), reduced monomials (2,508,
-    4,752 index pairs), decoded indices, their inverse and their degrees
-    (120 each) and layouts (5) do not grow with q; the stored indices
-    (119) stay below n! and their term keys (672, over 12 values of d)
-    below n! (n(n-1)/2 + 2).  Such a process peaks at about 47 MB
-    resident.  Only the CLI fills _SINGLE: a `betapoly` request for
-    every member of S_5 leaves its 120 single polynomials with 807 terms
-    (720 with 16,855 terms for S_6).
+    shares the class rows.  The F_q images grow with every (n, q) of a
+    CK or K0 class, which share them: all 120 classes of S_5 at
+    q = 2, 3, 5 in each theory leave 360 monomial images with 3,967
+    (index, coeff) pairs, 357 class images with 4,246 and three series.
+    The Cauchy sides (120 classes, 1,899 groups by u, 51,548
+    (code, room, coeff) triples), the Chow rows (119, with 1,037 index
+    rows), the identity rows (1), reduced monomials (682, 1,227 index
+    pairs), decoded indices, their inverse and their codes (120 each)
+    do not grow with q; the term keys (672, over 12 values of d) stay
+    below n! (n(n-1)/2 + 2).  Such a process builds no family member
+    and peaks at about 18 MB resident.  Only the CLI fills _SINGLE: a
+    `betapoly` request for every member of S_5 leaves its 120 single
+    polynomials with 807 terms (720 with 16,855 terms for S_6).
     """
     from . import dlclass, fgl  # imported here: both import this module
 
@@ -532,16 +530,15 @@ def clear_caches() -> None:
     _phi_row.cache_clear()
     _class_row.cache_clear()
     fgl.n_times_series.cache_clear()
-    fgl.inverse_series.cache_clear()
     schubert_class.cache_clear()
     _leads.cache_clear()
     _BASIS.clear()
     betapoly.clear_cache()
-    dlclass._IMAGES.clear()
-    dlclass._pair_form.cache_clear()
-    dlclass._fold.cache_clear()
-    dlclass._layouts.cache_clear()
-    dlclass._slots.cache_clear()
+    dlclass._codes.cache_clear()
+    dlclass._FROBENIUS.clear()
+    dlclass._cauchy_sides.cache_clear()
+    dlclass._chow_rows.cache_clear()
+    dlclass._identity_rows.cache_clear()
 
 
 @dataclass

@@ -7,7 +7,6 @@ import pytest
 
 from dlschubert import betapoly, perm
 from dlschubert.betapoly import (
-    beta0_polynomial,
     cauchy_pairs,
     cauchy_polynomial,
     clear_cache,
@@ -236,22 +235,6 @@ def test_divided_difference_matches_reference_on_family_chains():
             step = divided_difference(i, parent)
             assert step == phi_reference(i, parent), (w, i)
             assert step == double_beta_polynomial(w, n), (w, i)
-
-
-def test_beta0_chain_is_the_beta0_part_of_the_family():
-    # the top product at beta = 0 and d_i along the family's ascents give
-    # the beta^0 part of every member, S_1..S_5
-    clear_cache()
-    for n in (1, 2, 3, 4, 5):
-        for v in sorted(perm.all_permutations(n)):
-            got = beta0_polynomial(v, n).terms()
-            full = double_beta_polynomial(v, n).terms()
-            expected = {m: c for m, c in full.items() if m[2] == 0}
-            stray = next((m for m in sorted(got.keys() | expected.keys())
-                          if got.get(m) != expected.get(m)), None)
-            assert stray is None, (v, stray, got.get(stray), expected.get(stray))
-    clear_cache()
-    assert not betapoly._BETA0
 
 
 def _first_difference(a, b):

@@ -518,25 +518,21 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "double-beta_n3_w2-1-3.json").exists()
 
 
-def test_dlclass_prewarms_family_cache(capsys, tmp_path):
-    code, _, _ = run_cli_fresh(
-        capsys,
-        "dlclass", "--w", "[2,1,3]", "--q", "2", "--cache-dir", str(tmp_path),
-    )
-    assert code == 0
-    # the family member actually consumed is the one for w.w0
-    assert [p.name for p in tmp_path.iterdir()] == ["double-beta_n3_w3-1-2.json"]
-
-
 @pytest.mark.parametrize("args", [
     ("--w", "[2,1,3]", "--theory", "ch"),
     ("--w", "[1,2,3]", "--theory", "ck"),
+    ("--w", "[2,1,3]", "--theory", "ck"),
+    ("--w", "[2,1,3]", "--theory", "k0"),
+    ("--w", "[1,2,3]", "--theory", "ch"),
+    ("--w", "[1,2,3]", "--theory", "k0"),
 ])
-def test_dlclass_caches_no_member_it_does_not_read(capsys, tmp_path, args):
-    # a Chow class and the identity read only the beta^0 chain, so the
-    # cache neither stores nor primes a full member for them
+def test_dlclass_caches_no_member_it_does_not_read(capsys, tmp_path, monkeypatch, args):
+    # a class is summed inside the quotient ring and reads no family
+    # member: with a cache directory set, no request in any theory reads
+    # or writes an entry or builds a member
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
     flagring.clear_caches()
-    code, _, _ = run_cli(capsys, "dlclass", *args, "--q", "2", "--cache-dir", str(tmp_path))
+    code, _, _ = run_cli(capsys, "dlclass", *args, "--q", "2")
     assert code == 0
     assert not list(tmp_path.iterdir())
     assert not betapoly._FAMILY
@@ -570,12 +566,11 @@ def test_held_member_skips_the_disk(capsys, tmp_path, monkeypatch):
     ("--q", "2", "--kim", "--theory", "ck"),
     ("--q", "2", "--kim", "--theory", "k0"),
 ])
-def test_dlclass_refuses_before_computing(capsys, tmp_path, extra):
+def test_dlclass_refuses_before_computing(capsys, tmp_path, monkeypatch, extra):
     # an inadmissible query computes no family member and caches nothing
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
     betapoly.clear_cache()
-    code, out, err = run_cli(
-        capsys, "dlclass", "--w", "[2,1,3,4]", *extra, "--cache-dir", str(tmp_path),
-    )
+    code, out, err = run_cli(capsys, "dlclass", "--w", "[2,1,3,4]", *extra)
     assert (code, out) == (3, "")
     assert err.startswith("error: ")
     assert not list(tmp_path.iterdir())
@@ -588,19 +583,19 @@ CACHE_BYTES_WS = sorted(perm.all_permutations(3)) + [
 ]
 
 
-def test_dlclass_cache_changes_no_byte(capsys, tmp_path):
+def test_dlclass_cache_changes_no_byte(capsys, tmp_path, monkeypatch):
     # no cache, a cold cache and a warm one print the same bytes; the
-    # cold and warm calls start from an empty family, so they write and
-    # read the entry
+    # cold and warm calls start from an empty family
     for i, w in enumerate(CACHE_BYTES_WS):
         for q in ("2", "3"):
             for theory in ("ck", "ch", "k0"):
                 args = ("dlclass", "--w", perm.format_permutation(w), "--q", q,
                         "--theory", theory, "--expand", "--format", "json")
-                cache_dir = str(tmp_path / f"{i}-{q}-{theory}")
+                monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
                 plain = run_cli(capsys, *args)
-                cold = run_cli_fresh(capsys, *args, "--cache-dir", cache_dir)
-                warm = run_cli_fresh(capsys, *args, "--cache-dir", cache_dir)
+                monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / f"{i}-{q}-{theory}"))
+                cold = run_cli_fresh(capsys, *args)
+                warm = run_cli_fresh(capsys, *args)
                 assert plain[0] == 0
                 assert cold == plain and warm == plain, (w, q, theory)
 

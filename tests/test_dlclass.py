@@ -1,13 +1,11 @@
-import gc
 import json
 import random
 import warnings
-import weakref
 from math import comb, isqrt
 
 import pytest
 
-from dlschubert import betapoly, clear_caches, dlclass, fgl, perm, poly
+from dlschubert import betapoly, clear_caches, dlclass, fgl, flagring, perm, poly
 from dlschubert.dlclass import (
     CONVENTIONS,
     DLQuery,
@@ -189,34 +187,15 @@ def test_k0_route_coherence_s4():
 
 
 def test_ch_classes_build_no_image():
-    # the Chow class, and the identity's class in every theory, is the
-    # fold of the beta^0 chain: it reads neither the images nor the pair
-    # forms, and builds no full family member
+    # every class is a sum of products of Schubert classes inside the
+    # quotient ring: the S_4 tables of all three theories build no
+    # family member
     clear_caches()
     for q in (2, 3):
         for w in perm.all_permutations(4):
-            dl_class_ch(w, 4, q)
-    dl_class_ck(perm.identity(4), 4, 2)
-    dl_class_k0(perm.identity(4), 4, 2)
-    assert not dlclass._IMAGES
-    assert dlclass._pair_form.cache_info().currsize == 0
+            for theory in ("CK", "CH", "K0"):
+                dl_class(DLQuery(w, 4, q, theory))
     assert not betapoly._FAMILY
-
-
-def test_images_and_pair_forms_hold_no_beta_exponent():
-    # a CK class is its K0 sum lifted by degree, so the images and pair
-    # forms both theories read are taken at beta = 1: an image holds
-    # (staircase index, coeff) pairs, each index below 4!, and a pair
-    # form holds (code, coeff) pairs
-    clear_caches()
-    for theory in ("CK", "K0"):
-        for w in perm.all_permutations(4):
-            dl_class(DLQuery(w, 4, 3, theory))
-    images = dlclass._IMAGES[(4, 3)]
-    assert len(images) > 1 and all(len(image) % 2 == 0 for image in images.values())
-    assert all(0 <= i < 24 for image in images.values() for i in image[::2])
-    forms = [dlclass._pair_form(tuple(w)[::-1], 4) for w in perm.all_permutations(4)]
-    assert any(forms) and all(len(form) % 2 == 0 for form in forms)
 
 
 def test_flag_count_oracle_frozen():
@@ -268,10 +247,9 @@ def test_identity_point_count_at_large_prime():
 
 
 def test_identity_pair_form_is_the_flag_count():
-    # the member of w0 has no term below the top degree, and its point
-    # part, the fold at beta exponent 0, is the point monomial's
-    # coefficient of the identity class as a polynomial in q:
-    # (-1)^(n(n-1)/2) times the q-factorial
+    # the identity's class, the product of the factors q x_i - x_(n+1-j),
+    # is one row over Z[q] at the point monomial: (-1)^(n(n-1)/2) times
+    # the q-factorial
     for n in (1, 2, 3, 4, 5):
         count = [1]  # coefficients of prod_{i=1..n} (1 + q + .. + q^(i-1))
         for i in range(2, n + 1):
@@ -279,8 +257,40 @@ def test_identity_pair_form_is_the_flag_count():
         sign = (-1) ** (n * (n - 1) // 2)
         w0 = perm.longest_element(n)
         point = len(staircase_monomials(n)) - 1
-        assert dlclass._pair_form(w0, n) == (), n
-        assert dlclass._fold(w0, n, 0) == ((point, tuple(sign * c for c in count)),), n
+        assert dlclass._identity_rows(n) == ((point, tuple(sign * c for c in count)),), n
+
+
+def _frobenius(a, q):
+    """F_q (x_i -> [q]x_i) of the element a at beta = 1, from the images
+    of the staircase monomials."""
+    n, index = a.n, flagring._indices(a.n)
+    images = dlclass._frobenius_images(n, q)
+    out = {}
+    for (m, _), c in a.specialize_beta(1).terms().items():
+        image = iter(images[index[m]])
+        for k, ic in zip(image, image):
+            out[k] = out.get(k, 0) + c * ic
+    return F.from_slots(n, out)
+
+
+def test_frobenius_is_the_q_fold_sum_and_a_ring_map():
+    # F_q of each generator is fgl.n_times(q, x_i) at beta = 1, F_q is
+    # multiplicative on seeded products of Schubert classes, and the
+    # memoized image of each class is F_q of that class
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        ws = sorted(perm.all_permutations(n))
+        for q in (2, 3, 1031):
+            for i in range(1, n + 1):
+                x = F.x_gen(n, i)
+                assert _frobenius(x, q) == fgl.n_times(q, x).specialize_beta(1), (n, q, i)
+            for _ in range(8):
+                a, b = (schubert_class(rng.choice(ws), n).specialize_beta(1) for _ in range(2))
+                assert _frobenius(a * b, q) == _frobenius(a, q) * _frobenius(b, q), (n, q)
+            for u in ws:
+                row = iter(dlclass._frobenius_class(u, n, q))
+                expected = _frobenius(schubert_class(u, n).specialize_beta(1), q)
+                assert F.from_slots(n, dict(zip(row, row))) == expected, (n, q, u)
 
 
 def test_divisor_k0_class_is_one_minus_line_bundle():
@@ -363,11 +373,17 @@ def test_ck_element_matches_substitution_s5():
         assert _ck_element(w, 5, q) == _ck_element_by_substitution(w, 5, q), (w, q)
 
 
+def _inverse_series(n):
+    """The formal inverse -sum_{k=0..n-2} beta^k t^(k+1) mod t^n, as
+    ((t degree, beta exponent, coeff), ..)."""
+    return tuple((k + 1, k, -1) for k in range(n - 1))
+
+
 def _pair_table(n, q, a, b):
     """([q]t)^a * inverse(t)^b mod t^n as {(d, beta exponent): coeff},
     multiplied out one factor at a time."""
     table = {(0, 0): 1}
-    for factor in [fgl.n_times_series(q, n)] * a + [fgl.inverse_series(n)] * b:
+    for factor in [fgl.n_times_series(q, n)] * a + [_inverse_series(n)] * b:
         product = {}
         for (d, tb), tc in table.items():
             for fd, fb, fc in factor:
@@ -472,8 +488,7 @@ def test_ck_coefficients_are_polynomials_in_q():
 
 def test_family_members_are_write_once(monkeypatch):
     # a member never changes once read: prime_cache keeps the member the
-    # family holds, so a class built from it stays the same, and a class
-    # whose pair form is memoized does not read the family again
+    # family holds, and no class reads the family at all
     w, n, q = (2, 1, 3, 4), 4, 5
     v = perm.compose(w, perm.longest_element(n))
     clear_caches()
@@ -490,29 +505,13 @@ def test_members_lie_in_the_staircase_of_the_top_product():
     # the top product prod_{i+j<=n} (x_i + y_j + beta x_i y_j) has x_i-degree
     # n - i and y_j-degree n - j, and phi_i keeps both bounds (the staircase
     # of pipe dreams, Knutson and Miller 2005); so every pair sum
-    # a_i + b_(n+1-i) is at most n - 1, and _pair_form and _fold need no
-    # rule for a pair sum that reaches n
+    # a_i + b_(n+1-i) is at most n - 1
     for n in range(1, 6):
         bound = tuple(range(n - 1, -1, -1))
         for v in perm.all_permutations(n):
             for (xe, ye, be), c in betapoly.double_beta_polynomial(v, n).terms().items():
                 inside = all(map(int.__le__, xe, bound)) and all(map(int.__le__, ye, bound))
                 assert inside, (v, xe, ye, be, c)
-
-
-def test_pair_forms_do_not_keep_dropped_members():
-    # the pair form memo must not keep alive a member that the family
-    # cache dropped, and must rebuild from the new member; the identity
-    # reads the top polynomial, which must have no memo of its own
-    n, q = 4, 5
-    for w in ((2, 1, 3, 4), (1, 2, 3, 4)):
-        v = perm.compose(w, perm.longest_element(n))
-        expected = _ck_element(w, n, q)
-        old = weakref.ref(betapoly.double_beta_polynomial(v, n))
-        betapoly.clear_cache()
-        gc.collect()
-        assert old() is None, w
-        assert _ck_element(w, n, q) == expected
 
 
 def test_metadata():
@@ -613,7 +612,7 @@ def test_expansions_of_w0_dual_classes_match():
 
 def _dual_image(a):
     """a under x_i -> inverse(x_{n+1-i}), through the generic substitution
-    and fgl.fgl_inverse: no code of the image route."""
+    and fgl.fgl_inverse: no code of the class route."""
     n = a.n
     xmap = {i: fgl.fgl_inverse(F.x_gen(n, n + 1 - i)) for i in range(1, n + 1)}
     return a.to_polynomial().substitute(xmap, {})

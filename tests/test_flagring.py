@@ -420,11 +420,13 @@ def test_clear_caches():
     product = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     family = betapoly.double_beta_polynomial((2, 3, 1), 3)
     cauchy = betapoly.cauchy_polynomial((2, 3, 1), 3)
-    series = fgl.n_times_series(5, 3), fgl.inverse_series(3)
+    series = fgl.n_times_series(5, 3)
     element = dlclass._ck_element((2, 1, 3), 3, 5)
+    chow = dlclass._ck_element((2, 1, 3), 3, 5, 0)
+    point = dlclass._ck_element((1, 2, 3), 3, 5, 1)
     cls = schubert_class((1, 2, 3), 3)
-    assert dlclass._IMAGES and dlclass._pair_form.cache_info().currsize
-    assert dlclass._slots(3)
+    assert dlclass._FROBENIUS and dlclass._cauchy_sides.cache_info().currsize
+    assert dlclass._chow_rows.cache_info().currsize and dlclass._identity_rows.cache_info().currsize
     assert flagring._phi_row.cache_info().currsize
     assert betapoly._SINGLE
     assert flagring._BASIS and flagring._indices(3) and flagring._keys(3)
@@ -433,7 +435,7 @@ def test_clear_caches():
     assert not flagring._BASIS
     assert not betapoly._FAMILY
     assert not betapoly._SINGLE
-    assert not dlclass._IMAGES
+    assert not dlclass._FROBENIUS
     for cached in (
         schubert_class,
         _leads,
@@ -446,19 +448,20 @@ def test_clear_caches():
         flagring._phi_row,
         flagring._class_row,
         fgl.n_times_series,
-        fgl.inverse_series,
-        dlclass._slots,
-        dlclass._layouts,
-        dlclass._pair_form,
-        dlclass._fold,
+        dlclass._codes,
+        dlclass._cauchy_sides,
+        dlclass._chow_rows,
+        dlclass._identity_rows,
     ):
         assert cached.cache_info().currsize == 0
-    assert (fgl.n_times_series(5, 3), fgl.inverse_series(3)) == series
+    assert fgl.n_times_series(5, 3) == series
     assert schubert_class((1, 2, 3), 3) == cls
     again = schubert_expand(schubert_class(u, 3) * schubert_class(v, 3))
     assert again.coefficients == product.coefficients
     assert betapoly.double_beta_polynomial((2, 3, 1), 3) == family == cauchy
     assert dlclass._ck_element((2, 1, 3), 3, 5) == element
+    assert dlclass._ck_element((2, 1, 3), 3, 5, 0) == chow
+    assert dlclass._ck_element((1, 2, 3), 3, 5, 1) == point
 
 
 def test_schubert_classes_have_unit_leading_term():
