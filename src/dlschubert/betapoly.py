@@ -36,9 +36,16 @@ and G_u(x) = D_u(x, 0), it reads in this engine's sign convention
 
 single_beta_polynomial builds the G's with the same phi_i kernel, down
 from x^delta (one term) in a memo of its own, cauchy_pairs finds the
-factorizations by a recursion along reduced words, and
-cauchy_polynomial sums the products.
-An S_6 member takes 0.01-1.0 s and 17-60 MB that way, against 0.8-1.6 s
+factorizations, and cauchy_polynomial sums the products.  The
+factorizations come from a recursion that strips the first right
+descent of u (cauchy_pairs), run on permutation indices: a table per
+n (_table), built on first use, holds each permutation's one-line
+tuple, length, right descents and the index of each p.s_i, and the
+walk of each w is memoized (_walk), so a Deligne-Lusztig class walks
+its pairs once in every theory.  The walks of all of S_6 take 0.24 s
+and its table 2.4 ms, against 1.05 s for the same recursion on
+one-line tuples (2-core Xeon, Python 3.11).
+By the identity an S_6 member takes 0.01-1.0 s and 17-60 MB, against 0.8-1.6 s
 and 68-194 MB down the chain, and n = 7 members of length 8 and 9, out
 of the chain's reach, take 2-3 s and about 125 MB.  Near the top the
 chain wins: w0 is the top product itself and a member of length
@@ -53,7 +60,7 @@ shares the chain's intermediate members (all of S_5 takes 0.37 s by
 the chain, 0.51 s by the identity), the chain is the identity's test
 oracle, and perfbench/test_perfbench.py pins its recursion.  No
 Deligne-Lusztig class reads a member: dlclass sums the same Cauchy
-terms inside the quotient ring, from cauchy_pairs alone.  At n = 6 the
+terms inside the quotient ring, from the same walk alone.  At n = 6 the
 top product has 187,945 terms.
 
 Specializations (classical families):
@@ -71,6 +78,7 @@ deg x = deg y = 1, deg beta = -1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import perm
@@ -218,37 +226,82 @@ def _chain(memo, w: Permutation, n: int, top) -> BetaPolynomial:
     return memo.setdefault((n, w), value)
 
 
+@functools.lru_cache(maxsize=None)
+def _table(n: int) -> tuple[tuple[Permutation, ...], tuple[int, ...], dict[Permutation, int],
+                            tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """S_n on integers: (perms, lengths, index, descents, steps), where
+    perms[p] is the permutation of index p in lexicographic order,
+    lengths[p] = l(perms[p]), index the inverse of perms, descents[p]
+    the right descents of perms[p] as a bit set (bit i for s_(i+1)) and
+    steps[p][i] the index of perms[p].s_(i+1).
+
+    The index of a permutation is the number its Lehmer code spells in
+    the factorial base, and its length is the sum of those digits, so
+    the lengths are built digit by digit, the most significant last.
+    """
+    perms = tuple(itertools.permutations(range(1, n + 1)))
+    index = {p: k for k, p in enumerate(perms)}
+    lengths = [0]
+    for m in range(2, n + 1):
+        lengths = [d + rest for d in range(m) for rest in lengths]
+    descents = tuple(sum(1 << i for i in range(n - 1) if p[i] > p[i + 1]) for p in perms)
+    steps = tuple(tuple(index[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for i in range(n - 1))
+                  for p in perms)
+    return perms, tuple(lengths), index, descents, steps
+
+
+@functools.lru_cache(maxsize=None)
+def _walk(w: Permutation) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """cauchy_pairs(w) by the indices of _table(len(w)): ((u, (v, ..)),
+    ..) with u ascending, memoized per w."""
+    n = len(w)
+    _, _, index, descents, steps = _table(n)
+    size = len(steps)
+    memo: dict[int, tuple[int, ...]] = {}
+
+    def below(u: int, x: int) -> tuple[int, ...]:
+        got = memo.get(u * size + x)
+        if got is None:
+            low = descents[u] & -descents[u]  # the first right descent of u
+            if not low:
+                got = (x,)
+            elif descents[x] & low:
+                i = low.bit_length() - 1
+                u1 = steps[u][i]
+                got = below(u1, x) + below(u1, steps[x][i])
+            else:
+                got = ()
+            memo[u * size + x] = got
+        return got
+
+    # a reduced word of w, read off by stepping down its right descents
+    x = top = index[w]
+    word = []
+    while descents[x]:
+        i = (descents[x] & -descents[x]).bit_length() - 1
+        word.append(i)
+        x = steps[x][i]
+    # [e, w] is the set of Demazure products of subwords of a reduced word
+    interval = {x}
+    for i in reversed(word):
+        interval |= {u if descents[u] >> i & 1 else steps[u][i] for u in interval}
+    return tuple((u, vs) for u in sorted(interval) if (vs := below(u, top)))
+
+
 def cauchy_pairs(w: Permutation) -> dict[Permutation, tuple[Permutation, ...]]:
-    """{u: (v, ...)} over the pairs with v * u = w (Demazure product).
+    """{u: (v, ...)} over the pairs with v * u = w (Demazure product),
+    keys ascending.
 
     With R(u, x) = {v : v * u = x}: R(e, x) = {x}, and for a right
     descent i of u, R(u, x) is R(u.s_i, x) + R(u.s_i, x.s_i) if i is a
     right descent of x and empty otherwise, memoized in (u, x); no
     Demazure product of two words is formed.  u runs over the Bruhat
     interval [e, w], where R(u, w) may be empty (no v has
-    v * s_1 = s_1.s_2 in S_3).
+    v * s_1 = s_1.s_2 in S_3).  The recursion runs on the integer
+    indices of _table, in the memo _walk that dlclass reads as well.
     """
-    memo: dict[tuple[Permutation, Permutation], tuple[Permutation, ...]] = {}
-
-    def below(u: Permutation, x: Permutation) -> tuple[Permutation, ...]:
-        got = memo.get((u, x))
-        if got is None:
-            i = next((i for i in range(1, len(u)) if u[i - 1] > u[i]), 0)
-            if not i:
-                got = (x,)
-            elif x[i - 1] > x[i]:
-                u1 = perm.times_s(u, i)
-                got = below(u1, x) + below(u1, perm.times_s(x, i))
-            else:
-                got = ()
-            memo[(u, x)] = got
-        return got
-
-    # [e, w] is the set of Demazure products of subwords of a reduced word
-    interval = {perm.identity(len(w))}
-    for a in perm.reduced_word(w):
-        interval |= {u if u[a - 1] > u[a] else perm.times_s(u, a) for u in interval}
-    return {u: vs for u in sorted(interval) if (vs := below(u, w))}
+    perms = _table(len(w))[0]
+    return {perms[u]: tuple(perms[v] for v in vs) for u, vs in _walk(tuple(w))}
 
 
 def cauchy_polynomial(w, n: int | None = None) -> BetaPolynomial:
@@ -260,21 +313,22 @@ def cauchy_polynomial(w, n: int | None = None) -> BetaPolynomial:
     x-only and a y-only monomial, so no exponent tuples are added.
     """
     w, n = _resolve(w, n)
+    perms, lengths = _table(n)[:2]
     lw = perm.length(w)
     out: dict[Monomial, int] = {}
     get = out.get
-    for u, vs in cauchy_pairs(w).items():
+    for u, vs in _walk(w):
         # the y side of u: sum over its v of beta^k G_(v^-1)(y)
         side: dict[tuple[tuple[int, ...], int], int] = {}
-        shift = perm.length(u) - lw
+        shift = lengths[u] - lw
         for v in vs:
-            k = shift + perm.length(v)
-            g = single_beta_polynomial(perm.inverse(v), n)
+            k = shift + lengths[v]
+            g = single_beta_polynomial(perm.inverse(perms[v]), n)
             for (ye, _, be), c in g.terms().items():
                 key = (ye, be + k)
                 side[key] = side.get(key, 0) + c
         rows = list(side.items())
-        for (xe, _, bx), cx in single_beta_polynomial(u, n).terms().items():
+        for (xe, _, bx), cx in single_beta_polynomial(perms[u], n).terms().items():
             for (ye, by), cy in rows:
                 m = (xe, ye, bx + by)
                 out[m] = get(m, 0) + cx * cy
@@ -282,9 +336,12 @@ def cauchy_polynomial(w, n: int | None = None) -> BetaPolynomial:
 
 
 def clear_cache() -> None:
-    """Empty the family and the single polynomials."""
+    """Empty the family, the single polynomials, the Cauchy walks and
+    the permutation tables."""
     _FAMILY.clear()
     _SINGLE.clear()
+    _walk.cache_clear()
+    _table.cache_clear()
 
 
 def prime_cache(w, n: int | None, value: BetaPolynomial) -> None:

@@ -27,7 +27,10 @@ Schubert basis and the ring product read too.
 
 A K0 class is the sum over the pairs, grouped by u, of
 F_q(S_u) * sum over u's v of (-1)^k S_(w0 v^-1 w0).  The pairs and each
-u's y side are a memo of (w, n) (_cauchy_sides).  F_q is applied
+u's y side are a memo of (w, n) (_cauchy_sides); the pairs are read from
+betapoly's memoized walk on permutation indices (betapoly._walk),
+which _chow_rows reads as well, with each length from the walk's
+table and each w0 v^-1 w0 from a table of n (_duals).  F_q is applied
 through the images of the n! staircase monomials, built once per
 (n, q) in one pass (_frobenius_images), and F_q(S_u) is a memo of
 (n, q, u); flagring.clear_caches() empties both.
@@ -282,11 +285,13 @@ def _low(row: tuple[int, ...], n: int, length: int) -> tuple[int, ...]:
     return row[:k]
 
 
-def _dual(v: Permutation) -> Permutation:
-    """w0 v^-1 w0, whose class is the y side G_(v^-1)(y) of a Cauchy term
-    under y_j -> inverse(x_(n+1-j))."""
-    n = len(v)
-    return tuple(n + 1 - a for a in reversed(perm.inverse(v)))
+@functools.lru_cache(maxsize=None)
+def _duals(n: int) -> tuple[Permutation, ...]:
+    """w0 v^-1 w0 for each v of S_n, by v's index in betapoly._table(n):
+    its class is the y side G_(v^-1)(y) of a Cauchy term under
+    y_j -> inverse(x_(n+1-j))."""
+    perms = betapoly._table(n)[0]
+    return tuple(tuple(n + 1 - a for a in reversed(perm.inverse(v))) for v in perms)
 
 
 # F_q (x_i -> [q]x_i) at beta = 1, per (n, q): _FROBENIUS[(n, q)] =
@@ -338,23 +343,24 @@ def _frobenius_class(u: Permutation, n: int, q: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _cauchy_sides(w: Permutation, n: int) -> tuple[tuple[Permutation, tuple[int, ...]], ...]:
-    """((u, y side), ..) over betapoly.cauchy_pairs(w.w0): the K0 class of
+    """((u, y side), ..) over betapoly._walk(w.w0): the K0 class of
     w is the sum of F_q(S_u) * y side, where the y side of u is the sum
     over its v of (-1)^k S_(w0 v^-1 w0), k = l(u) + l(v) - l(w.w0), as
     the y argument of _product."""
     v0 = tuple(w)[::-1]  # w.w0: w0 = (n, .., 1) reverses one-line notation
-    length = perm.length(v0)
+    perms, lengths = betapoly._table(n)[:2]
+    duals, length = _duals(n), perm.length(v0)
     sides = []
-    for u, vs in betapoly.cauchy_pairs(v0).items():
-        lu, sums = perm.length(u), {}
+    for u, vs in betapoly._walk(v0):
+        lu, sums = lengths[u], {}
         for v in vs:
-            sign = -1 if (lu + perm.length(v) - length) % 2 else 1
-            row = iter(flagring._class_row(_dual(v), n))
+            sign = -1 if (lu + lengths[v] - length) % 2 else 1
+            row = iter(flagring._class_row(duals[v], n))
             for k, c in zip(row, row):
                 sums[k] = sums.get(k, 0) + sign * c
         side = _side(n, sums)
         if side:
-            sides.append((u, side))
+            sides.append((perms[u], side))
     return tuple(sides)
 
 
@@ -362,20 +368,21 @@ def _cauchy_sides(w: Permutation, n: int) -> tuple[tuple[Permutation, tuple[int,
 def _chow_rows(w: Permutation, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The CH class of w with coefficients in Z[q]: ((staircase index,
     coefficients by power of q), ..), by the Chow closed form, the sum
-    over the pairs of cauchy_pairs(w.w0) with l(u) + l(v) = l(w.w0) of
+    over the pairs of betapoly._walk(w.w0) with l(u) + l(v) = l(w.w0) of
     q^l(u) S_u^0 S_(w0 v^-1 w0)^0, S^0 the beta^0 prefix of a class row."""
     v0 = tuple(w)[::-1]
-    length = perm.length(v0)
+    perms, lengths = betapoly._table(n)[:2]
+    duals, length = _duals(n), perm.length(v0)
     sums: dict[int, list[int]] = {}
-    for u, vs in betapoly.cauchy_pairs(v0).items():
-        lu, ys = perm.length(u), {}
+    for u, vs in betapoly._walk(v0):
+        lu, ys = lengths[u], {}
         for v in vs:
-            if lu + perm.length(v) == length:
-                row = iter(_low(flagring._class_row(_dual(v), n), n, length - lu))
+            if lu + lengths[v] == length:
+                row = iter(_low(flagring._class_row(duals[v], n), n, length - lu))
                 for k, c in zip(row, row):
                     ys[k] = ys.get(k, 0) + c
         acc: dict[int, int] = {}
-        _product(acc, n, _low(flagring._class_row(u, n), n, lu), _side(n, ys))
+        _product(acc, n, _low(flagring._class_row(perms[u], n), n, lu), _side(n, ys))
         for k, c in acc.items():
             sums.setdefault(k, [0] * (length + 1))[lu] += c
     return tuple((i, tuple(row)) for i, row in sums.items() if any(row))

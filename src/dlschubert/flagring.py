@@ -492,12 +492,15 @@ def clear_caches() -> None:
     basis, the classes as integer rows (_class_row), Schubert classes as
     elements, their leads and the basis rows (_BASIS), the double
     beta-polynomial family and the single polynomials G_w(x) that the
-    Cauchy identity sums (betapoly._SINGLE), the series [q]t of the
+    Cauchy identity sums (betapoly._SINGLE), the Cauchy factorizations
+    of each w (betapoly._walk) and the permutation table of each n that
+    they are walked on (betapoly._table), the series [q]t of the
     formal group law, and dlclass's memos: the code of each staircase
-    index, the images of F_q (x_i -> [q]x_i) at beta = 1 with the F_q
-    images of the Schubert classes, a memo of (n, q), the Cauchy
-    factorizations of each class with their y sides, a memo of (w, n),
-    and the Chow and identity rows over Z[q].
+    index, w0 v^-1 w0 of each v (_duals), the images of F_q
+    (x_i -> [q]x_i) at beta = 1 with the F_q images of the Schubert
+    classes, a memo of (n, q), the y sides of each class's Cauchy
+    factorizations, a memo of (w, n), and the Chow and identity rows
+    over Z[q].
 
     None of these is bounded.  The Schubert basis of S_n leaves 271
     rows of phi_i at n = 5, 2,165 at n = 6 and 19,106 at n = 7 (381,
@@ -508,7 +511,9 @@ def clear_caches() -> None:
     CK or K0 class, which share them: all 120 classes of S_5 at
     q = 2, 3, 5 in each theory leave 360 monomial images with 3,967
     (index, coeff) pairs, 357 class images with 4,246 and three series.
-    The Cauchy sides (120 classes, 1,899 groups by u, 51,548
+    The Cauchy walks (119, with 1,779 groups by u and 10,619 pairs),
+    one permutation table and one table of duals (120 entries each),
+    the Cauchy sides (119 classes, 1,779 groups, 46,632
     (code, room, coeff) triples), the Chow rows (119, with 1,037 index
     rows), the identity rows (1), reduced monomials (682, 1,227 index
     pairs), decoded indices, their inverse and their codes (120 each)
@@ -535,6 +540,7 @@ def clear_caches() -> None:
     _BASIS.clear()
     betapoly.clear_cache()
     dlclass._codes.cache_clear()
+    dlclass._duals.cache_clear()
     dlclass._FROBENIUS.clear()
     dlclass._cauchy_sides.cache_clear()
     dlclass._chow_rows.cache_clear()

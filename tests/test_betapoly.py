@@ -271,10 +271,35 @@ def test_cauchy_polynomial_builds_no_member():
     clear_cache()
 
 
+def _pairs_on_tuples(w):
+    """cauchy_pairs(w) by its recursion on one-line tuples: for the first
+    right descent i of u, R(u, x) = R(u.s_i, x) + R(u.s_i, x.s_i) if i
+    is a right descent of x, else empty; R(e, x) = (x,).  The order of
+    each u's v's is the order of this recursion."""
+    memo = {}
+
+    def below(u, x):
+        if (u, x) not in memo:
+            i = next((i for i in range(1, len(u)) if u[i - 1] > u[i]), 0)
+            if not i:
+                memo[(u, x)] = (x,)
+            elif x[i - 1] > x[i]:
+                u1 = perm.times_s(u, i)
+                memo[(u, x)] = below(u1, x) + below(u1, perm.times_s(x, i))
+            else:
+                memo[(u, x)] = ()
+        return memo[(u, x)]
+
+    us = (u for u in sorted(perm.all_permutations(len(w))) if perm.bruhat_leq(u, w))
+    return {u: vs for u in us if (vs := below(u, w))}
+
+
 def test_cauchy_pairs_are_the_demazure_factorizations():
-    # the recursion against the Demazure product of two reduced words,
-    # all of S_1..S_4
-    for n in (1, 2, 3, 4):
+    # the integer walk against the Demazure product of two reduced words,
+    # all of S_1..S_5 (14,400 products at n = 5), and its order against
+    # the recursion on tuples: keys ascending, each u's v's in the
+    # recursion's order, which dlclass._chow_rows builds its rows in
+    for n in (1, 2, 3, 4, 5):
         perms = sorted(perm.all_permutations(n))
         words = {u: perm.reduced_word(u) for u in perms}
         products: dict = {}
@@ -282,9 +307,12 @@ def test_cauchy_pairs_are_the_demazure_factorizations():
             for u in perms:
                 products.setdefault(perm.demazure_product(words[v] + words[u], n), set()).add((v, u))
         for w in perms:
-            got = [(v, u) for u, vs in cauchy_pairs(w).items() for v in vs]
+            pairs = cauchy_pairs(w)
+            got = [(v, u) for u, vs in pairs.items() for v in vs]
             assert len(got) == len(set(got)), w
             assert set(got) == products[w], w
+            assert list(pairs) == sorted(pairs), w
+            assert list(pairs.items()) == list(_pairs_on_tuples(w).items()), w
 
 
 @h.given(small_polys(), st.integers(1, 5))

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +200,31 @@ def test_ch_classes_build_no_image():
             for theory in ("CK", "CH", "K0"):
                 dl_class(DLQuery(w, 4, q, theory))
     assert not betapoly._FAMILY
+
+
+def test_cauchy_walk_is_not_set_up_and_runs_once_per_class():
+    # importing the engine and the identity's class (the warm-up of an
+    # in-process benchmark pass) build no Cauchy walk, no permutation
+    # table and no table of duals, in a fresh process
+    memos = ("betapoly._walk", "betapoly._table", "dlclass._duals")
+    empty = f"assert not sum(m.cache_info().currsize for m in ({', '.join(memos)}))\n"
+    code = (
+        "from dlschubert import betapoly, dlclass\n" + empty
+        + "dlclass.dl_class(dlclass.DLQuery((1, 2, 3, 4), 4, 2, 'CK'))\n" + empty
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dlclass.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    # the CK, CH and K0 tables of S_4 walk each of the 23 non-identity
+    # classes once, and the K0 sides and the Chow rows each read that
+    # walk once (CK and K0 share the sides)
+    clear_caches()
+    for w in perm.all_permutations(4):
+        for theory in ("CK", "CH", "K0"):
+            dl_class(DLQuery(w, 4, 3, theory))
+    info = betapoly._walk.cache_info()
+    assert (info.misses, info.hits) == (23, 23)
+    clear_caches()
 
 
 def test_flag_count_oracle_frozen():

@@ -425,6 +425,9 @@ def test_clear_caches():
     chow = dlclass._ck_element((2, 1, 3), 3, 5, 0)
     point = dlclass._ck_element((1, 2, 3), 3, 5, 1)
     cls = schubert_class((1, 2, 3), 3)
+    pairs = betapoly.cauchy_pairs((3, 1, 2))
+    assert betapoly._walk.cache_info().currsize and betapoly._table.cache_info().currsize
+    assert dlclass._duals.cache_info().currsize
     assert dlclass._FROBENIUS and dlclass._cauchy_sides.cache_info().currsize
     assert dlclass._chow_rows.cache_info().currsize and dlclass._identity_rows.cache_info().currsize
     assert flagring._phi_row.cache_info().currsize
@@ -448,7 +451,10 @@ def test_clear_caches():
         flagring._phi_row,
         flagring._class_row,
         fgl.n_times_series,
+        betapoly._walk,
+        betapoly._table,
         dlclass._codes,
+        dlclass._duals,
         dlclass._cauchy_sides,
         dlclass._chow_rows,
         dlclass._identity_rows,
@@ -462,6 +468,10 @@ def test_clear_caches():
     assert dlclass._ck_element((2, 1, 3), 3, 5) == element
     assert dlclass._ck_element((2, 1, 3), 3, 5, 0) == chow
     assert dlclass._ck_element((1, 2, 3), 3, 5, 1) == point
+    assert betapoly.cauchy_pairs((3, 1, 2)) == pairs
+    # betapoly.clear_cache() alone empties the walks and the tables
+    betapoly.clear_cache()
+    assert not betapoly._walk.cache_info().currsize and not betapoly._table.cache_info().currsize
 
 
 def test_schubert_classes_have_unit_leading_term():
